@@ -16,24 +16,16 @@
 #                      (run with --update via bench-engine to re-record)
 #   bench-runall       serial-vs-parallel + cold-vs-warm-cache wall clock
 #                      for the experiment runner -> BENCH_runall.json
-#   run-all            all 24 experiments, serial (bit-for-bit the
+#   run-all            all 25 experiments, serial (bit-for-bit the
 #                      historical output)
 #   run-all-par        the same artifact fanned out over REPRO_JOBS
 #                      workers (default 4); tables are identical
 #   run-all-faults     the artifact under the default fault plan (cached
 #                      under its own keys — the plan is in the cache key)
-#   run-e20            the observability experiment alone: per-stage
-#                      attribution + overhead + results/e20_trace.json
-#   run-e21            timelines/flight/tail forensics alone ->
-#                      results/e21_timeline.json
-#   run-e22            control-plane policy tournaments + epoch
-#                      migration -> results/e22_control.json
-#   run-e23            rack-scale fleet grid: replica scaling, Zipf
-#                      skew, NIC placement -> results/e23_fleet.json
-#   run-e24            multi-tenant isolation grid: budgets, DWRR,
-#                      noisy neighbours -> results/e24_tenancy.json
-#   run-e25            tenant SLO grid: burn-rate alerts, budget
-#                      ledgers, flame attribution -> results/e25_slo.json
+#   run-eN             one experiment alone, e.g. make run-e25; E20-E25
+#                      also write results/e2N_*.json (e20 trace, e21
+#                      timeline, e22 control, e23 fleet, e24 tenancy,
+#                      e25 SLO)
 #   trace-export       Perfetto/Chrome-trace artifact for all four
 #                      stacks -> results/e20_trace.json (schema-checked)
 #   dashboard          self-contained HTML from the E21 artifact (plus
@@ -49,8 +41,7 @@ COVER_MIN ?= 92
 
 .PHONY: test test-fast test-props test-faults regen-golden coverage \
 	bench-engine bench-engine-quick bench-frames bench-guard bench-runall \
-	run-all run-all-par run-all-faults run-e20 run-e21 run-e22 \
-	run-e23 run-e24 run-e25 trace-export dashboard flamegraph
+	run-all run-all-par run-all-faults trace-export dashboard flamegraph
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -101,27 +92,9 @@ run-all-par:
 run-all-faults:
 	$(PYTHON) -m repro.experiments.run_all --faults
 
-run-e20:
-	$(PYTHON) -m repro.experiments.run_all e20
-
-run-e21:
-	$(PYTHON) -m repro.experiments.run_all e21
-
-# Policy tournaments + epoch migration -> results/e22_control.json.
-run-e22:
-	$(PYTHON) -m repro.experiments.run_all e22
-
-# Rack-scale fleets (scaling/skew/placement) -> results/e23_fleet.json.
-run-e23:
-	$(PYTHON) -m repro.experiments.run_all e23
-
-# Multi-tenant isolation (noisy neighbours) -> results/e24_tenancy.json.
-run-e24:
-	$(PYTHON) -m repro.experiments.run_all e24
-
-# Tenant SLOs: burn-rate alerts, budgets, flames -> results/e25_slo.json.
-run-e25:
-	$(PYTHON) -m repro.experiments.run_all e25
+# One experiment alone (make run-e25); artifacts land under results/.
+run-e%:
+	$(PYTHON) -m repro.experiments.run_all e$*
 
 trace-export:
 	$(PYTHON) tools/trace_export.py --all --out results/e20_trace.json --validate

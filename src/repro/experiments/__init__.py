@@ -1,8 +1,9 @@
 """Experiment harness (S14): testbeds and one module per paper artifact.
 
-The individual experiments (E1-E18) live in their own modules and are
-indexed by :data:`repro.experiments.run_all.EXPERIMENTS`; import them
-lazily via ``run_all`` to keep testbed imports light.
+The individual experiments (E1-E25) live in their own modules and are
+indexed by :data:`repro.exp.jobs.EXPERIMENT_SPECS`, which
+``python -m repro.experiments.run_all`` runs; this package imports only
+the testbeds, to keep testbed imports light.
 """
 
 from .testbed import (

@@ -29,13 +29,12 @@ host-side only.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..check import install_checks
 from ..faults import FaultPlan, active
+from ..metrics.histogram import nearest_rank
 from ..obs.flight import FlightRecorder
 from ..obs.instrument import arm_flight, arm_testbed, bind_testbed_metrics
 from ..obs.tail import render_tail_report, tail_report
@@ -45,8 +44,8 @@ from .four_stacks import STACKS, _build_stack
 from .report import fmt_ns, print_table
 
 __all__ = ["TimelineResult", "measure_timeline_stack", "render_timeline",
-           "write_timeline_artifact", "validate_timeline_payload",
-           "run_timeline", "TIMELINE_ARTIFACT"]
+           "timeline_payload", "validate_timeline_payload",
+           "TIMELINE_ARTIFACT"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 TIMELINE_ARTIFACT = "results/e21_timeline.json"
@@ -142,13 +141,6 @@ def _inject_violation(checks, sim, at_ns: float) -> None:
     checks.add("e21-injected", check)
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
 def _layer_counts(names: list[str]) -> dict[str, int]:
     counts = {"hw": 0, "os": 0, "nic": 0}
     for name in names:
@@ -192,8 +184,8 @@ def measure_timeline_stack(stack: str, n_requests: int = N_REQUESTS,
         n_requests=n_requests,
         completed=len(armed_rtts),
         identical=armed_rtts == base_rtts,
-        p50_rtt_ns=_percentile(armed_rtts, 0.50),
-        p999_rtt_ns=_percentile(armed_rtts, TAIL_QUANTILE),
+        p50_rtt_ns=nearest_rank(armed_rtts, 0.50),
+        p999_rtt_ns=nearest_rank(armed_rtts, TAIL_QUANTILE),
         layers=_layer_counts(sampler.names()),
         timeseries=sampler.as_dict(),
         flight_dump=checks.flight_dump,
@@ -238,39 +230,33 @@ def render_timeline(results: list["TimelineResult"]) -> None:
         print(render_tail_report(r.tail, title=r.stack))
 
 
-def write_timeline_artifact(results: list["TimelineResult"],
-                            path: str = TIMELINE_ARTIFACT) -> dict:
-    """Write the full joined payload as one JSON artifact."""
+def timeline_payload(results: list["TimelineResult"]) -> dict:
+    """The full joined payload of the E21 artifact."""
     from ..exp.pool import jsonable
 
-    payload = {
+    return {
         "experiment": "e21",
         "window_ns": WINDOW_NS,
         "horizon_ns": HORIZON_NS,
         "stacks": {r.stack: jsonable(r) for r in results},
     }
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-    return payload
 
 
-def validate_timeline_payload(payload: dict) -> None:
+def validate_timeline_payload(payload: dict, complete: bool = True) -> None:
     """Schema/acceptance check for the E21 artifact; raises ValueError.
 
     Checks what the experiment promises: every stack has windowed
     series for at least six metrics spanning the hw, OS, and NIC
     layers; the injected violation froze a flight dump; the tail
-    report attributes every slow request; armed == unarmed.
+    report attributes every slow request; armed == unarmed; and (with
+    ``complete=True``) all four stacks are present.
     """
     problems: list[str] = []
     stacks = payload.get("stacks")
     if not isinstance(stacks, dict):
         raise ValueError("payload has no 'stacks' mapping")
     missing = [s for s in STACKS if s not in stacks]
-    if missing:
+    if complete and missing:
         problems.append(f"missing stacks: {missing}")
     for stack, entry in stacks.items():
         if not entry.get("identical"):
@@ -304,17 +290,3 @@ def validate_timeline_payload(payload: dict) -> None:
                     "lacks state/stage attribution")
     if problems:
         raise ValueError("; ".join(problems))
-
-
-def run_timeline(n_requests: int = N_REQUESTS, verbose: bool = True,
-                 artifact_path: str = TIMELINE_ARTIFACT
-                 ) -> list[TimelineResult]:
-    results = [measure_timeline_stack(stack, n_requests)
-               for stack in STACKS]
-    if verbose:
-        render_timeline(results)
-        payload = write_timeline_artifact(results, artifact_path)
-        validate_timeline_payload(payload)
-        print(f"\n[wrote {artifact_path}: "
-              f"{len(payload['stacks'])} stacks]")
-    return results

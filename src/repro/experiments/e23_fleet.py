@@ -27,20 +27,18 @@ Artifact: ``results/e23_fleet.json`` (schema-checked by
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 from ..check import install_fleet_checks
 from ..fleet import Fleet, HostSpec, build_fleet
+from ..metrics.histogram import nearest_rank
 from ..net.topology import TopologySpec
 from ..sim.clock import MS
 from .report import fmt_ns, print_table
 
 __all__ = ["FleetCell", "FLEET_ARTIFACT", "SCALING_LABELS", "SKEW_LABELS",
            "PLACEMENT_LABELS", "cell_labels", "measure_fleet_cell",
-           "render_fleet", "write_fleet_artifact", "validate_fleet_payload",
-           "run_fleet"]
+           "render_fleet", "fleet_payload", "validate_fleet_payload"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 FLEET_ARTIFACT = "results/e23_fleet.json"
@@ -167,13 +165,6 @@ def _drive(fleet: Fleet, counts: list[int]) -> list[float]:
     return rtts
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
 def measure_fleet_cell(section: str, label: str, seed: int = 0) -> FleetCell:
     """Build, invariant-arm, and drive one fleet configuration."""
     config = _cell_config(section, label)
@@ -206,8 +197,8 @@ def measure_fleet_cell(section: str, label: str, seed: int = 0) -> FleetCell:
         n_flows=config["n_flows"],
         n_requests=sum(counts),
         completed=len(rtts),
-        p50_rtt_ns=_percentile(rtts, 0.50),
-        p99_rtt_ns=_percentile(rtts, 0.99),
+        p50_rtt_ns=nearest_rank(rtts, 0.50),
+        p99_rtt_ns=nearest_rank(rtts, 0.99),
         mean_rtt_ns=sum(rtts) / len(rtts) if rtts else 0.0,
         routed=routed,
         flows_per_replica=spread["flows_per_replica"],
@@ -250,23 +241,17 @@ def render_fleet(cells: list["FleetCell"]) -> None:
             print()
 
 
-def write_fleet_artifact(cells: list["FleetCell"],
-                         path: str = FLEET_ARTIFACT) -> dict:
+def fleet_payload(cells: list["FleetCell"]) -> dict:
+    """The E23 artifact payload."""
     from ..exp.pool import jsonable
 
-    payload = {
+    return {
         "experiment": "e23",
         "horizon_ns": HORIZON_NS,
         "n_tors": N_TORS,
         "sections": list(SECTIONS),
         "cells": [jsonable(cell) for cell in cells],
     }
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-    return payload
 
 
 def validate_fleet_payload(payload: dict, complete: bool = True) -> None:
@@ -324,21 +309,3 @@ def validate_fleet_payload(payload: dict, complete: bool = True) -> None:
                     f"all-kernel ({none_cell['p50_rtt_ns']:.0f} ns)")
     if problems:
         raise ValueError("; ".join(problems))
-
-
-def run_fleet(verbose: bool = True, smoke: bool = False,
-              artifact_path: str = FLEET_ARTIFACT) -> list[FleetCell]:
-    """Serial runner; ``smoke=True`` is the CI one-cell-per-section job."""
-    if smoke:
-        combos = [("scaling", "r2"), ("placement", "mixed")]
-    else:
-        combos = [(section, label) for section in SECTIONS
-                  for label in cell_labels(section)]
-    cells = [measure_fleet_cell(section, label)
-             for section, label in combos]
-    if verbose:
-        render_fleet(cells)
-        payload = write_fleet_artifact(cells, artifact_path)
-        validate_fleet_payload(payload, complete=not smoke)
-        print(f"[wrote {artifact_path}: {len(payload['cells'])} cells]")
-    return cells

@@ -38,13 +38,12 @@ Artifact: ``results/e24_tenancy.json`` (schema-checked by
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass, field
 
 from ..check import install_checks, install_fleet_checks
 from ..fleet import HostSpec, build_fleet
+from ..metrics.histogram import nearest_rank
 from ..net.topology import TopologySpec
 from ..sim.clock import MS
 from ..tenancy import TenantTable
@@ -55,8 +54,8 @@ from .testbed import build_lauberhorn_testbed, deploy_service
 
 __all__ = ["TenancyCell", "TENANCY_ARTIFACT", "SINGLE_LABELS", "FLEET_LABELS",
            "cell_labels", "measure_single_cell", "measure_fleet_cell",
-           "render_tenancy", "write_tenancy_artifact",
-           "validate_tenancy_payload", "run_tenancy"]
+           "render_tenancy", "tenancy_payload",
+           "validate_tenancy_payload"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 TENANCY_ARTIFACT = "results/e24_tenancy.json"
@@ -161,13 +160,6 @@ def _build_table(n_tenants: int, pattern: str, isolated: bool) -> TenantTable:
     return table
 
 
-def _percentile(samples: list, q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
 def _fire_and_forget(sim, client, server_mac, server_ip, service, method,
                      args, rate: float, count: int, rng, done: list,
                      start_delay_ns: float = 200_000.0):
@@ -244,9 +236,9 @@ def measure_single_cell(label: str, seed: int = 0) -> TenancyCell:
         isolated=isolated,
         n_victim=VICTIM_REQUESTS,
         victim_completed=victim_gen.completed,
-        victim_p50_ns=_percentile(rtts, 0.50),
-        victim_p99_ns=_percentile(rtts, 0.99),
-        victim_p999_ns=_percentile(rtts, 0.999),
+        victim_p50_ns=nearest_rank(rtts, 0.50),
+        victim_p99_ns=nearest_rank(rtts, 0.99),
+        victim_p999_ns=nearest_rank(rtts, 0.999),
         aggressor_sent=aggressor_sent,
         aggressor_completed=len(aggressor_done),
         ledger=table.snapshot(),
@@ -329,9 +321,9 @@ def measure_fleet_cell(label: str, seed: int = 0) -> TenancyCell:
         isolated=isolated,
         n_victim=FLEET_VICTIM_REQUESTS,
         victim_completed=len(completed),
-        victim_p50_ns=_percentile(rtts, 0.50),
-        victim_p99_ns=_percentile(rtts, 0.99),
-        victim_p999_ns=_percentile(rtts, 0.999),
+        victim_p50_ns=nearest_rank(rtts, 0.50),
+        victim_p99_ns=nearest_rank(rtts, 0.99),
+        victim_p999_ns=nearest_rank(rtts, 0.999),
         aggressor_sent=aggressor_sent,
         aggressor_completed=len(aggressor_done),
         ledger=tables[0].snapshot(),
@@ -371,23 +363,17 @@ def render_tenancy(cells: list["TenancyCell"]) -> None:
             print()
 
 
-def write_tenancy_artifact(cells: list["TenancyCell"],
-                           path: str = TENANCY_ARTIFACT) -> dict:
+def tenancy_payload(cells: list["TenancyCell"]) -> dict:
+    """The E24 artifact payload."""
     from ..exp.pool import jsonable
 
-    payload = {
+    return {
         "experiment": "e24",
         "horizon_ns": HORIZON_NS,
         "fleet_horizon_ns": FLEET_HORIZON_NS,
         "sections": list(SECTIONS),
         "cells": [jsonable(cell) for cell in cells],
     }
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1)
-    return payload
 
 
 def validate_tenancy_payload(payload: dict, complete: bool = True) -> None:
@@ -459,26 +445,3 @@ def validate_tenancy_payload(payload: dict, complete: bool = True) -> None:
         headline("fleet", "solo", "storm-on", "storm-off")
     if problems:
         raise ValueError("; ".join(problems))
-
-
-def run_tenancy(verbose: bool = True, smoke: bool = False,
-                artifact_path: str = TENANCY_ARTIFACT) -> list[TenancyCell]:
-    """Serial runner; ``smoke=True`` is the CI headline-pair job."""
-    if smoke:
-        combos = [("single", "solo"), ("single", "2t-storm-off"),
-                  ("single", "2t-storm-on")]
-    else:
-        combos = [(section, label) for section in SECTIONS
-                  for label in cell_labels(section)]
-    cells = []
-    for section, label in combos:
-        if section == "single":
-            cells.append(measure_single_cell(label))
-        else:
-            cells.append(measure_fleet_cell(label))
-    if verbose:
-        render_tenancy(cells)
-        payload = write_tenancy_artifact(cells, artifact_path)
-        validate_tenancy_payload(payload, complete=not smoke)
-        print(f"[wrote {artifact_path}: {len(payload['cells'])} cells]")
-    return cells

@@ -28,7 +28,7 @@ from .four_stacks import STACKS, _build_stack
 from .report import fmt_ns, print_table
 
 __all__ = ["FaultPoint", "FAULT_POINTS", "measure_fault_point",
-           "render_fault_sweep", "run_fault_sweep"]
+           "render_fault_sweep"]
 
 #: (label, loss_rate per link-frame, RX ring stall rate per frame).
 #: Every point also carries the :meth:`FaultPlan.default` background
@@ -136,14 +136,3 @@ def render_fault_sweep(results: list[FaultPoint]) -> None:
         for r in bad:
             for detail in r.violation_details:
                 print(f"  !! {r.stack}/{r.label}: {detail}")
-
-
-def run_fault_sweep(verbose: bool = True, seed: int = 0) -> list[FaultPoint]:
-    results = [
-        measure_fault_point(stack, label, loss, stall, seed=seed)
-        for stack in STACKS
-        for (label, loss, stall) in FAULT_POINTS
-    ]
-    if verbose:
-        render_fault_sweep(results)
-    return results

@@ -1,9 +1,10 @@
-"""Run every experiment (E1-E24) and print the paper-shaped output.
+"""Run every experiment (E1-E25) and print the paper-shaped output.
 
 Usage::
 
     python -m repro.experiments.run_all                   # everything
     python -m repro.experiments.run_all e1 e5 e7          # a subset
+    python -m repro.experiments.run_all e25/single@2t-tight-calm  # one job
     python -m repro.experiments.run_all --json out.json   # + raw results
     python -m repro.experiments.run_all --jobs 4          # process pool
     python -m repro.experiments.run_all --no-cache        # force re-run
@@ -16,6 +17,12 @@ figures; EXPERIMENTS.md records a captured run next to the paper's own
 numbers.  ``--json`` additionally dumps every experiment's structured
 results (dataclasses, recursively serialised) plus per-experiment wall
 clock under the ``"_timings_s"`` key.
+
+A positional argument is an experiment name or one of its job ids
+(``<experiment>/<cell>``, listed by ``--timings`` or an unknown-id
+error).  A selection covering only some of an experiment's jobs
+renders just those cells and validates the artifact as partial; E5
+and E18 combine all their cells into one table, so select them whole.
 
 This module is a thin CLI over :mod:`repro.exp`: experiments are
 decomposed into independently schedulable jobs (one per sweep point),
@@ -37,70 +44,14 @@ from ..faults.context import ENV_VAR
 from ..faults.plan import FaultPlan
 from ..exp.jobs import EXPERIMENT_SPECS, run_experiments
 from ..exp.pool import default_jobs, jsonable as _jsonable
-from .ablation import run_crypto_ablation, run_deserialize_ablation
-from .crossover import run_crossover
-from .dynamic_mix import run_dynamic_mix
-from .e21_timeline import run_timeline
-from .e22_control import run_control
-from .e23_fleet import run_fleet
-from .e24_tenancy import run_tenancy
-from .e25_slo import run_slo
-from .fault_sweep import run_fault_sweep
-from .fig1_steps import run_fig1_steps
-from .fig2_roundtrip import run_fig2
-from .fig5_dispatch import run_fig5_dispatch
-from .four_stacks import run_four_stacks
-from .iommu_tax import run_iommu_tax
-from .load_sweep import run_load_sweep
-from .model_check import run_model_check
-from .nested_rpc import run_nested_rpc
-from .obs_attribution import run_obs_attribution
-from .protocol_cost import run_protocol_cost
 from .report import format_table
-from .sched_state import run_sched_state
-from .sensitivity import run_sensitivity
-from .serverless import run_serverless
-from .telemetry_breakdown import run_telemetry_breakdown
-from .throughput import run_lauberhorn_scaling, run_throughput
-from .tryagain import run_timeout_ablation, run_tryagain_energy
 
-__all__ = ["EXPERIMENTS", "main"]
+__all__ = ["main"]
 
-# Legacy API: each experiment as (title, serial callable).  The CLI
-# itself schedules through repro.exp's job registry; these callables
-# remain for programmatic use and produce identical output/results.
-_SERIAL = {
-    "e1": lambda: run_fig2(),
-    "e2": lambda: run_fig1_steps(),
-    "e3": lambda: run_fig5_dispatch(),
-    "e4": lambda: run_dynamic_mix(),
-    "e5": lambda: run_crossover(),
-    "e6": lambda: (run_tryagain_energy(), run_timeout_ablation()),
-    "e7": lambda: run_model_check(),
-    "e8": lambda: run_sched_state(),
-    "e9": lambda: run_nested_rpc(),
-    "e10": lambda: run_protocol_cost(),
-    "e11": lambda: run_four_stacks(),
-    "e12": lambda: (run_deserialize_ablation(), run_crypto_ablation()),
-    "e13": lambda: run_telemetry_breakdown(),
-    "e14": lambda: (run_throughput(), run_lauberhorn_scaling()),
-    "e15": lambda: run_load_sweep(),
-    "e16": lambda: run_iommu_tax(),
-    "e17": lambda: run_serverless(),
-    "e18": lambda: run_sensitivity(),
-    "e19": lambda: run_fault_sweep(),
-    "e20": lambda: run_obs_attribution(),
-    "e21": lambda: run_timeline(),
-    "e22": lambda: run_control(),
-    "e23": lambda: run_fleet(),
-    "e24": lambda: run_tenancy(),
-    "e25": lambda: run_slo(),
-}
 
-EXPERIMENTS = {
-    name: (EXPERIMENT_SPECS[name].title, _SERIAL[name])
-    for name in EXPERIMENT_SPECS
-}
+def _known(item: str) -> bool:
+    spec = EXPERIMENT_SPECS.get(item.partition("/")[0])
+    return spec is not None and ("/" not in item or item in spec.job_ids)
 
 
 def _print_timings(outcome, cache) -> None:
@@ -176,11 +127,15 @@ def main(argv: list[str] | None = None) -> int:
             names.append(arg)
             index += 1
 
-    selected = [a.lower() for a in names] or list(EXPERIMENTS)
-    unknown = [name for name in selected if name not in EXPERIMENTS]
+    selected = [a.lower() for a in names] or list(EXPERIMENT_SPECS)
+    unknown = [item for item in selected if not _known(item)]
     if unknown:
-        print(f"unknown experiments: {', '.join(unknown)}")
-        print(f"available: {', '.join(EXPERIMENTS)}")
+        print(f"unknown experiments or jobs: {', '.join(unknown)}")
+        print(f"available: {', '.join(EXPERIMENT_SPECS)}")
+        for name in dict.fromkeys(item.partition("/")[0] for item in unknown):
+            if name in EXPERIMENT_SPECS:
+                print(f"jobs of {name}: "
+                      f"{', '.join(EXPERIMENT_SPECS[name].job_ids)}")
         return 2
 
     cache = ResultCache() if use_cache else None

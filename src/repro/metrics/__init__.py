@@ -2,7 +2,7 @@
 
 from .cycles import CycleWindow, PerRequestCost
 from .energy import EnergyBreakdown, PowerParams, core_energy, machine_energy
-from .histogram import LatencyRecorder, LatencySummary, percentile
+from .histogram import LatencyRecorder, LatencySummary, nearest_rank, percentile
 from .stats import MeanCI, bootstrap_ci, mean, stddev, t_confidence_interval
 
 __all__ = [
@@ -14,6 +14,7 @@ __all__ = [
     "PowerParams",
     "core_energy",
     "machine_energy",
+    "nearest_rank",
     "percentile",
     "MeanCI",
     "bootstrap_ci",

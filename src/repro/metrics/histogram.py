@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = ["percentile", "LatencySummary", "LatencyRecorder"]
+__all__ = ["percentile", "nearest_rank", "LatencySummary", "LatencyRecorder"]
 
 
 def percentile(sorted_samples: Sequence[float], p: float) -> float:
@@ -27,6 +27,26 @@ def percentile(sorted_samples: Sequence[float], p: float) -> float:
         return sorted_samples[low]
     frac = rank - low
     return sorted_samples[low] * (1 - frac) + sorted_samples[high] * frac
+
+
+def nearest_rank(samples: Iterable[float], q: float) -> float:
+    """Nearest-rank quantile: the ``int(q * n)``-th smallest sample.
+
+    ``q`` in [0, 1].  The index clamps to the largest sample when
+    ``int(q * n) == n``, and empty input gives ``0.0``.  Unlike
+    :func:`percentile` it never interpolates, so the result is always
+    an observed sample.
+
+    The two definitions are kept apart by name so each experiment's
+    pinned results stay put: the percentiles E1-E19 report come from
+    :func:`percentile` (via :meth:`LatencyRecorder.summary`), while
+    E20-E25 and the slow-request threshold of :mod:`repro.obs.tail`
+    use this one.
+    """
+    ordered = sorted(samples)
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 @dataclass(frozen=True)

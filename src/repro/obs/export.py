@@ -19,6 +19,7 @@ from typing import Any, Iterable, Optional
 from .spans import Span
 
 __all__ = [
+    "chrome_trace",
     "chrome_trace_events",
     "export_chrome_trace",
     "validate_chrome_trace",
@@ -76,16 +77,20 @@ def chrome_trace_events(spans: Iterable, pid: int = 1,
     return events
 
 
-def export_chrome_trace(path: str, spans_by_process: dict) -> dict:
-    """Write ``{label: spans}`` groups as one Perfetto-loadable file.
+def chrome_trace(spans_by_process: dict) -> dict:
+    """``{label: spans}`` groups as one Perfetto-loadable payload.
 
     Each label (e.g. a stack name) becomes its own process row.
-    Returns the payload that was written.
     """
     events: list[dict] = []
     for pid, (label, spans) in enumerate(spans_by_process.items(), start=1):
         events.extend(chrome_trace_events(spans, pid=pid, process_name=label))
-    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
+    return {"traceEvents": events, "displayTimeUnit": "ns"}
+
+
+def export_chrome_trace(path: str, spans_by_process: dict) -> dict:
+    """Write :func:`chrome_trace` to ``path``; returns the payload."""
+    payload = chrome_trace(spans_by_process)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=1)
     return payload

@@ -1,10 +1,13 @@
 """End-to-end runner behavior: CLI flags, parity, cache reuse."""
 
+import dataclasses
 import json
+
+import pytest
 
 from repro.exp.cache import ResultCache
 from repro.exp.jobs import EXPERIMENT_SPECS, run_experiments
-from repro.experiments.run_all import EXPERIMENTS, main
+from repro.experiments.run_all import main
 
 FAST = ["e7", "e18"]  # sub-second experiments: one monolithic, one sweep
 
@@ -18,7 +21,6 @@ def _tables(text: str) -> str:
 
 def test_registry_covers_all_experiments():
     assert list(EXPERIMENT_SPECS) == [f"e{i}" for i in range(1, 26)]
-    assert list(EXPERIMENTS) == list(EXPERIMENT_SPECS)
     for name, spec in EXPERIMENT_SPECS.items():
         jobs = spec.build_jobs(0)
         assert jobs, name
@@ -35,6 +37,42 @@ def test_subset_selection_and_order(capsys):
 
 def test_unknown_experiment_exit_code():
     assert main(["e7", "e99", "--no-cache"]) == 2
+
+
+def test_unknown_job_id_exit_code(capsys):
+    assert main(["e21/nope", "--no-cache"]) == 2
+    out = capsys.readouterr().out
+    assert "e21/nope" in out
+    assert "e21/linux" in out  # the experiment's real job ids are listed
+
+
+def test_job_id_selection_runs_only_that_job(capsys):
+    outcome = run_experiments(["e11/snap"], jobs=1, cache=None)
+    assert [r.job_id for r in outcome.job_results] == ["e11/snap"]
+    assert [v["stack"] for v in outcome.values["e11"]] == ["snap"]
+    assert "E11:" in capsys.readouterr().out
+
+
+def test_partial_selection_validates_as_partial(tmp_path, monkeypatch,
+                                                capsys):
+    calls = []
+    spec = EXPERIMENT_SPECS["e21"]
+    validate = spec.artifact.validate
+
+    def spy(payload, complete=True):
+        calls.append(complete)
+        validate(payload, complete=complete)
+
+    monkeypatch.setitem(EXPERIMENT_SPECS, "e21", dataclasses.replace(
+        spec, artifact=dataclasses.replace(spec.artifact, validate=spy)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["e21/linux", "--no-cache"]) == 0
+    assert calls == [False]
+    payload = json.loads((tmp_path / spec.artifact.path).read_text())
+    assert list(payload["stacks"]) == ["linux"]
+    # The same payload fails the whole-grid check.
+    with pytest.raises(ValueError, match="missing stacks"):
+        validate(payload)
 
 
 def test_flag_value_errors():
@@ -87,15 +125,14 @@ def test_timings_flag_prints_job_table(capsys):
 
 def test_failure_is_isolated_and_reported(capsys, monkeypatch):
     from repro.exp import jobs as jobs_mod
-    from repro.exp.pool import JobSpec
 
     spec = EXPERIMENT_SPECS["e7"]
-    broken = [JobSpec.make("e7/main", "e7",
-                           "repro.exp.pool:resolve", fn_path="bad")]
     monkeypatch.setitem(
         jobs_mod.EXPERIMENT_SPECS, "e7",
-        jobs_mod.ExperimentSpec(name="e7", title=spec.title,
-                                build_jobs=lambda seed: broken),
+        jobs_mod.ExperimentSpec(
+            name="e7", title=spec.title,
+            cells=(("e7/main", "repro.exp.pool:resolve",
+                    {"fn_path": "bad"}),)),
     )
     outcome = run_experiments(["e7", "e18"], jobs=1, cache=None)
     out = capsys.readouterr().out

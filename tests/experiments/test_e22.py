@@ -5,22 +5,27 @@ import json
 
 import pytest
 
+from repro.exp.jobs import EXPERIMENT_SPECS
 from repro.experiments.e22_control import (
     POLICY_SPECS,
+    ControlCell,
     measure_adaptive_mix,
     render_control,
-    run_control,
     validate_control_payload,
-    write_control_artifact,
 )
 
 
+def _write_artifact(cells, adaptive, path):
+    return EXPERIMENT_SPECS["e22"].artifact.write(
+        {"cells": cells, "adaptive": adaptive}, complete=False, path=path)
+
+
 @pytest.fixture(scope="module")
-def smoke(tmp_path_factory):
+def smoke(run_cells):
     """One CI-sized run: lauberhorn under the storm plan, every policy."""
-    path = tmp_path_factory.mktemp("e22") / "e22_control.json"
-    cells = run_control(verbose=False, smoke=True, artifact_path=str(path))
-    return cells, path
+    value, path = run_cells(
+        "e22", [f"e22/lauberhorn@storm@{policy}" for policy in POLICY_SPECS])
+    return [ControlCell(**cell) for cell in value["cells"]], path
 
 
 def test_smoke_covers_every_policy(smoke):
@@ -32,7 +37,7 @@ def test_smoke_covers_every_policy(smoke):
 
 def test_smoke_artifact_validates(smoke, capsys):
     cells, path = smoke
-    payload = write_control_artifact(cells, None, str(path))
+    payload = _write_artifact(cells, None, str(path))
     validate_control_payload(payload, complete=False)
     on_disk = json.loads(path.read_text())
     assert on_disk == payload
@@ -43,7 +48,7 @@ def test_smoke_artifact_validates(smoke, capsys):
 
 def test_validation_rejects_a_non_identical_inert_cell(smoke):
     cells, path = smoke
-    payload = write_control_artifact(cells, None, str(path))
+    payload = _write_artifact(cells, None, str(path))
     broken = copy.deepcopy(payload)
     for cell in broken["cells"]:
         if cell["policy"] == "none":
@@ -54,7 +59,7 @@ def test_validation_rejects_a_non_identical_inert_cell(smoke):
 
 def test_validation_rejects_an_idle_active_cell(smoke):
     cells, path = smoke
-    payload = write_control_artifact(cells, None, str(path))
+    payload = _write_artifact(cells, None, str(path))
     broken = copy.deepcopy(payload)
     for cell in broken["cells"]:
         if cell["policy"] != "none":

@@ -5,25 +5,29 @@ import json
 
 import pytest
 
+from repro.exp.jobs import EXPERIMENT_SPECS
 from repro.exp.pool import jsonable
 from repro.experiments.e23_fleet import (
     SECTIONS,
+    FleetCell,
     _flow_requests,
     cell_labels,
     measure_fleet_cell,
     render_fleet,
-    run_fleet,
     validate_fleet_payload,
-    write_fleet_artifact,
 )
 
 
+def _write_artifact(cells, path):
+    return EXPERIMENT_SPECS["e23"].artifact.write(cells, complete=False,
+                                                   path=path)
+
+
 @pytest.fixture(scope="module")
-def smoke(tmp_path_factory):
+def smoke(run_cells):
     """The CI-sized run: one fleet cell per headline section."""
-    path = tmp_path_factory.mktemp("e23") / "e23_fleet.json"
-    cells = run_fleet(verbose=False, smoke=True, artifact_path=str(path))
-    return cells, path
+    value, path = run_cells("e23", ["e23/scaling@r2", "e23/placement@mixed"])
+    return [FleetCell(**cell) for cell in value], path
 
 
 def test_smoke_cells_complete_cleanly(smoke):
@@ -41,7 +45,7 @@ def test_smoke_cells_complete_cleanly(smoke):
 
 def test_smoke_artifact_round_trips_and_validates(smoke, capsys):
     cells, path = smoke
-    payload = write_fleet_artifact(cells, str(path))
+    payload = _write_artifact(cells, str(path))
     validate_fleet_payload(payload, complete=False)
     on_disk = json.loads(path.read_text())
     assert on_disk == payload
@@ -55,7 +59,7 @@ def test_smoke_artifact_round_trips_and_validates(smoke, capsys):
 
 def test_validation_rejects_a_violating_cell(smoke):
     cells, path = smoke
-    broken = copy.deepcopy(write_fleet_artifact(cells, str(path)))
+    broken = copy.deepcopy(_write_artifact(cells, str(path)))
     broken["cells"][0]["violations"] = 2
     with pytest.raises(ValueError, match="violation"):
         validate_fleet_payload(broken, complete=False)
@@ -63,7 +67,7 @@ def test_validation_rejects_a_violating_cell(smoke):
 
 def test_validation_rejects_a_leaky_ledger(smoke):
     cells, path = smoke
-    broken = copy.deepcopy(write_fleet_artifact(cells, str(path)))
+    broken = copy.deepcopy(_write_artifact(cells, str(path)))
     broken["cells"][0]["routed"][0] += 1
     with pytest.raises(ValueError, match="routed"):
         validate_fleet_payload(broken, complete=False)
@@ -71,7 +75,7 @@ def test_validation_rejects_a_leaky_ledger(smoke):
 
 def test_validation_rejects_incomplete_runs(smoke):
     cells, path = smoke
-    broken = copy.deepcopy(write_fleet_artifact(cells, str(path)))
+    broken = copy.deepcopy(_write_artifact(cells, str(path)))
     broken["cells"][0]["completed"] -= 1
     with pytest.raises(ValueError, match="completed"):
         validate_fleet_payload(broken, complete=False)
@@ -79,7 +83,7 @@ def test_validation_rejects_incomplete_runs(smoke):
 
 def test_validation_requires_full_grid_when_complete(smoke):
     cells, path = smoke
-    payload = write_fleet_artifact(cells, str(path))
+    payload = _write_artifact(cells, str(path))
     with pytest.raises(ValueError, match="missing cells"):
         validate_fleet_payload(payload, complete=True)
 

@@ -5,24 +5,30 @@ import json
 
 import pytest
 
+from repro.exp.jobs import EXPERIMENT_SPECS
 from repro.exp.pool import jsonable
 from repro.experiments.e24_tenancy import (
     SECTIONS,
+    TenancyCell,
     cell_labels,
     measure_single_cell,
     render_tenancy,
-    run_tenancy,
     validate_tenancy_payload,
-    write_tenancy_artifact,
 )
 
 
+def _write_artifact(cells, path):
+    return EXPERIMENT_SPECS["e24"].artifact.write(cells, complete=False,
+                                                   path=path)
+
+
 @pytest.fixture(scope="module")
-def smoke(tmp_path_factory):
+def smoke(run_cells):
     """The CI-sized run: solo + the 2-tenant storm headline pair."""
-    path = tmp_path_factory.mktemp("e24") / "e24_tenancy.json"
-    cells = run_tenancy(verbose=False, smoke=True, artifact_path=str(path))
-    return cells, path
+    value, path = run_cells("e24", ["e24/single@solo",
+                                    "e24/single@2t-storm-off",
+                                    "e24/single@2t-storm-on"])
+    return [TenancyCell(**cell) for cell in value], path
 
 
 def test_smoke_cells_complete_cleanly(smoke):
@@ -55,7 +61,7 @@ def test_tenant_ledger_conserves_in_every_cell(smoke):
 
 def test_smoke_artifact_round_trips_and_validates(smoke, capsys):
     cells, path = smoke
-    payload = write_tenancy_artifact(cells, str(path))
+    payload = _write_artifact(cells, str(path))
     validate_tenancy_payload(payload, complete=False)
     on_disk = json.loads(path.read_text())
     assert on_disk == payload
@@ -68,7 +74,7 @@ def test_smoke_artifact_round_trips_and_validates(smoke, capsys):
 
 def test_validation_rejects_a_violating_cell(smoke):
     cells, path = smoke
-    broken = copy.deepcopy(write_tenancy_artifact(cells, str(path)))
+    broken = copy.deepcopy(_write_artifact(cells, str(path)))
     broken["cells"][0]["violations"] = 1
     with pytest.raises(ValueError, match="violation"):
         validate_tenancy_payload(broken, complete=False)
@@ -76,7 +82,7 @@ def test_validation_rejects_a_violating_cell(smoke):
 
 def test_validation_rejects_a_starved_victim(smoke):
     cells, path = smoke
-    broken = copy.deepcopy(write_tenancy_artifact(cells, str(path)))
+    broken = copy.deepcopy(_write_artifact(cells, str(path)))
     broken["cells"][0]["victim_completed"] -= 1
     with pytest.raises(ValueError, match="victim completed"):
         validate_tenancy_payload(broken, complete=False)
@@ -84,7 +90,7 @@ def test_validation_rejects_a_starved_victim(smoke):
 
 def test_validation_rejects_an_unpoliced_isolated_aggressor(smoke):
     cells, path = smoke
-    broken = copy.deepcopy(write_tenancy_artifact(cells, str(path)))
+    broken = copy.deepcopy(_write_artifact(cells, str(path)))
     for cell in broken["cells"]:
         if cell["isolated"] and cell["pattern"]:
             cell["ledger"]["aggressor.rate_dropped"] = 0
@@ -94,7 +100,7 @@ def test_validation_rejects_an_unpoliced_isolated_aggressor(smoke):
 
 def test_validation_requires_full_grid_and_headline_when_complete(smoke):
     cells, path = smoke
-    payload = write_tenancy_artifact(cells, str(path))
+    payload = _write_artifact(cells, str(path))
     with pytest.raises(ValueError, match="missing cells"):
         validate_tenancy_payload(payload, complete=True)
     # Headline teeth: an isolated storm cell whose tail exceeds 2x solo

@@ -11,6 +11,7 @@ from repro.metrics import (
     PowerParams,
     core_energy,
     machine_energy,
+    nearest_rank,
     percentile,
 )
 
@@ -20,6 +21,17 @@ def test_percentile_simple():
     assert percentile(samples, 0) == 10
     assert percentile(samples, 100) == 40
     assert percentile(samples, 50) == 25  # interpolated
+
+
+@pytest.mark.parametrize("samples, q, expected", [
+    ([], 0.5, 0.0),                          # empty input
+    ([30.0, 10.0, 20.0], 0.0, 10.0),         # q=0: the smallest sample
+    ([30.0, 10.0, 20.0], 1.0, 30.0),         # q=1: int(q*n) == n clamps
+    ([40.0, 10.0, 30.0, 20.0], 0.5, 30.0),   # int(2.0): never interpolates
+    ([40.0, 10.0, 30.0, 20.0], 0.999, 40.0),
+])
+def test_nearest_rank(samples, q, expected):
+    assert nearest_rank(samples, q) == expected
 
 
 def test_percentile_single_sample():

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
+from repro.exp.jobs import EXPERIMENT_SPECS
 from repro.experiments.four_stacks import STACKS
 from repro.experiments.obs_attribution import (
     STAGE_ORDER,
+    TRACE_ARTIFACT,
     measure_obs_stack,
     render_obs_attribution,
-    write_trace_artifact,
 )
 from repro.obs.export import validate_chrome_trace
 
@@ -60,7 +61,7 @@ def test_render_and_artifact(results, tmp_path, capsys):
     assert "Tracing overhead" in out
 
     path = tmp_path / "artifacts" / "e20_trace.json"
-    payload = write_trace_artifact(ordered, str(path))
+    payload = EXPERIMENT_SPECS["e20"].artifact.write(ordered, path=str(path))
     assert validate_chrome_trace(payload) == []
     on_disk = json.loads(path.read_text())
     process_names = {e["args"]["name"] for e in on_disk["traceEvents"]
@@ -69,9 +70,8 @@ def test_render_and_artifact(results, tmp_path, capsys):
 
 
 def test_e20_registered_with_runner():
-    from repro.exp.jobs import EXPERIMENT_SPECS
-
     spec = EXPERIMENT_SPECS["e20"]
     jobs = spec.build_jobs(0)
     assert [job.job_id for job in jobs] == [f"e20/{s}" for s in STACKS]
-    assert spec.assemble is not None
+    assert spec.render is render_obs_attribution
+    assert spec.artifact.path == TRACE_ARTIFACT

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from repro.exp.jobs import EXPERIMENT_SPECS
 from repro.experiments.e21_timeline import (
+    TIMELINE_ARTIFACT,
     measure_timeline_stack,
     render_timeline,
+    timeline_payload,
     validate_timeline_payload,
-    write_timeline_artifact,
 )
 from repro.experiments.four_stacks import STACKS, _build_stack
 from repro.faults import FaultPlan, active
@@ -88,7 +90,7 @@ def test_render_and_artifact(results, tmp_path, capsys):
         assert stack in out
 
     path = tmp_path / "artifacts" / "e21_timeline.json"
-    payload = write_timeline_artifact(ordered, str(path))
+    payload = EXPERIMENT_SPECS["e21"].artifact.write(ordered, path=str(path))
     validate_timeline_payload(payload)
     on_disk = json.loads(path.read_text())
     assert set(on_disk["stacks"]) == set(STACKS)
@@ -96,9 +98,7 @@ def test_render_and_artifact(results, tmp_path, capsys):
 
 
 def test_validate_rejects_broken_payloads(results):
-    payload = write_timeline_artifact(
-        [results[stack] for stack in STACKS],
-        path="/dev/null")
+    payload = timeline_payload([results[stack] for stack in STACKS])
     with pytest.raises(ValueError, match="stacks"):
         validate_timeline_payload({})
     broken = json.loads(json.dumps(payload))
@@ -112,12 +112,11 @@ def test_validate_rejects_broken_payloads(results):
 
 
 def test_e21_registered_with_runner():
-    from repro.exp.jobs import EXPERIMENT_SPECS
-
     spec = EXPERIMENT_SPECS["e21"]
     jobs = spec.build_jobs(0)
     assert [job.job_id for job in jobs] == [f"e21/{s}" for s in STACKS]
-    assert spec.assemble is not None
+    assert spec.render is render_timeline
+    assert spec.artifact.path == TIMELINE_ARTIFACT
 
 
 # -- sampler determinism under explicit fault plans -----------------------

@@ -18,6 +18,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 
@@ -25,11 +26,12 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.experiments.four_stacks import STACKS  # noqa: E402
-from repro.experiments.obs_attribution import (  # noqa: E402
-    measure_obs_stack,
-    write_trace_artifact,
+from repro.experiments.obs_attribution import measure_obs_stack  # noqa: E402
+from repro.obs.export import (  # noqa: E402
+    export_chrome_trace,
+    render_stage_summary,
+    validate_chrome_trace,
 )
-from repro.obs.export import render_stage_summary, validate_chrome_trace  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,7 +52,9 @@ def main(argv: list[str] | None = None) -> int:
 
     stacks = list(STACKS) if args.all else (args.stacks or ["lauberhorn"])
     results = [measure_obs_stack(stack, args.requests) for stack in stacks]
-    payload = write_trace_artifact(results, args.out)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    payload = export_chrome_trace(
+        args.out, {result.stack: result.spans for result in results})
 
     for result in results:
         print(render_stage_summary(result.spans, title=result.stack))
