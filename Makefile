@@ -14,6 +14,9 @@
 #   bench-guard        engine benchmarks vs the recorded BENCH_engine.json
 #                      baseline; fails on a >5% events/sec regression
 #                      (run with --update via bench-engine to re-record)
+#   bench-smoke        perfbench smoke tests: every end-to-end benchmark
+#                      workload at tiny size (~20 s; not in tier-1,
+#                      whose testpaths stop at tests/)
 #   bench-runall       serial-vs-parallel + cold-vs-warm-cache wall clock
 #                      for the experiment runner -> BENCH_runall.json
 #   run-all            all 25 experiments, serial (bit-for-bit the
@@ -40,7 +43,8 @@ REPRO_JOBS ?= 4
 COVER_MIN ?= 92
 
 .PHONY: test test-fast test-props test-faults regen-golden coverage \
-	bench-engine bench-engine-quick bench-frames bench-guard bench-runall \
+	bench-engine bench-engine-quick bench-frames bench-guard bench-smoke \
+	bench-runall \
 	run-all run-all-par run-all-faults trace-export dashboard flamegraph
 
 test:
@@ -79,6 +83,9 @@ bench-frames:
 # events/sec against the recorded baseline (use --repeat to de-noise).
 bench-guard:
 	$(PYTHON) benchmarks/bench_engine.py --guard BENCH_engine.json --repeat 5
+
+bench-smoke:
+	$(PYTHON) -m pytest perfbench/test_smoke.py -q
 
 bench-runall:
 	$(PYTHON) benchmarks/bench_runall.py --out BENCH_runall.json

@@ -8,8 +8,10 @@ a SHA-256 digest instead — ``tests/golden/hashes.json`` maps
 experiment name to digest, and ``tools/regen_golden.py --hashes``
 re-records it.
 
-The digest set deliberately stops at E23: E24 is the multi-tenant
-experiment, and the E1-E23 pins are exactly the contract that an
+E24/E25 take minutes whole, so :data:`HASHED_JOBS` pins the cheapest
+of their cells that together cover every path of their shared
+noisy-neighbour scenario, each run alone as ``run_all <job id>`` and
+keyed by job id.  The E1-E23 pins remain the contract that an
 *unconfigured* tenancy layer leaves every historical experiment
 byte-identical.
 
@@ -26,11 +28,20 @@ from __future__ import annotations
 import hashlib
 import json
 
-__all__ = ["HASHED_EXPERIMENTS", "VOLATILE_KEYS", "canonical",
+__all__ = ["HASHED_EXPERIMENTS", "HASHED_JOBS", "VOLATILE_KEYS", "canonical",
            "golden_digest"]
 
 #: experiments pinned by digest rather than full JSON
 HASHED_EXPERIMENTS = ("e19", "e20", "e21", "e22", "e23")
+
+#: single jobs pinned by digest (one ``run_experiments([job_id])`` each)
+HASHED_JOBS = (
+    "e24/single@solo",
+    "e24/single@4t-rateviol-on",
+    "e24/fleet@solo",
+    "e25/single@4t-tight-calm",
+    "e25/fleet@fleet-tight-calm",
+)
 
 #: result fields measured in host wall-clock (nondeterministic)
 VOLATILE_KEYS = frozenset({"host_s_unarmed", "host_s_armed"})

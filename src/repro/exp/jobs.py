@@ -172,17 +172,6 @@ def _assemble_control(values: dict) -> Any:
             "adaptive": adaptive}
 
 
-def _section_cells(name: str, module) -> tuple[Cell, ...]:
-    """E24/E25: ``single`` and ``fleet`` cells, one function each."""
-    fns = {"single": module.measure_single_cell,
-           "fleet": module.measure_fleet_cell}
-    return tuple(
-        (f"{name}/{section}@{label}", fns[section], {"label": label})
-        for section in module.SECTIONS
-        for label in module.cell_labels(section)
-    )
-
-
 EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
     spec.name: spec for spec in [
         _mono("e1", "Figure 2 — 64 B round-trip latencies",
@@ -297,34 +286,32 @@ EXPERIMENT_SPECS: dict[str, ExperimentSpec] = {
             artifact=Artifact(_control.CONTROL_ARTIFACT,
                               _control.control_payload,
                               _control.validate_control_payload)),
-        ExperimentSpec(
-            "e23", "Rack-scale fleets — replica scaling, skew & "
-                   "coherent-NIC placement",
-            tuple((f"e23/{section}@{label}", _fleet.measure_fleet_cell,
+        *(ExperimentSpec(
+            name, title,
+            tuple((f"{name}/{section}@{label}", measure,
                    {"section": section, "label": label})
-                  for section in _fleet.SECTIONS
-                  for label in _fleet.cell_labels(section)),
-            result=_fleet.FleetCell,
-            render=_fleet.render_fleet,
-            artifact=Artifact(_fleet.FLEET_ARTIFACT, _fleet.fleet_payload,
-                              _fleet.validate_fleet_payload)),
-        ExperimentSpec(
-            "e24", "Multi-tenant isolation — budgets, weighted-fair "
-                   "demux & noisy neighbours",
-            _section_cells("e24", _tenancy),
-            result=_tenancy.TenancyCell,
-            render=_tenancy.render_tenancy,
-            artifact=Artifact(_tenancy.TENANCY_ARTIFACT,
-                              _tenancy.tenancy_payload,
-                              _tenancy.validate_tenancy_payload)),
-        ExperimentSpec(
-            "e25", "Tenant SLOs — burn-rate alerts, budget ledgers & "
-                   "flame attribution",
-            _section_cells("e25", _slo),
-            result=_slo.SloCell,
-            render=_slo.render_slo,
-            artifact=Artifact(_slo.SLO_ARTIFACT, _slo.slo_payload,
-                              _slo.validate_slo_payload)),
+                  for section in module.SECTIONS
+                  for label in module.cell_labels(section)),
+            result=result, render=render, artifact=artifact)
+          for name, title, module, measure, result, render, artifact in (
+              ("e23", "Rack-scale fleets — replica scaling, skew & "
+                      "coherent-NIC placement",
+               _fleet, _fleet.measure_fleet_cell, _fleet.FleetCell,
+               _fleet.render_fleet,
+               Artifact(_fleet.FLEET_ARTIFACT, _fleet.fleet_payload,
+                        _fleet.validate_fleet_payload)),
+              ("e24", "Multi-tenant isolation — budgets, weighted-fair "
+                      "demux & noisy neighbours",
+               _tenancy, _tenancy.measure_tenancy_cell, _tenancy.TenancyCell,
+               _tenancy.render_tenancy,
+               Artifact(_tenancy.TENANCY_ARTIFACT, _tenancy.tenancy_payload,
+                        _tenancy.validate_tenancy_payload)),
+              ("e25", "Tenant SLOs — burn-rate alerts, budget ledgers & "
+                      "flame attribution",
+               _slo, _slo.measure_slo_cell, _slo.SloCell, _slo.render_slo,
+               Artifact(_slo.SLO_ARTIFACT, _slo.slo_payload,
+                        _slo.validate_slo_payload)),
+          )),
     ]
 }
 

@@ -30,7 +30,10 @@ crypt+deserialise pipeline.
 
 Two sections: ``single`` (one Lauberhorn host, tenant-count x pattern
 x isolation grid) and ``fleet`` (2-ToR rack, victim replicated on two
-hosts, aggressor pounding one of them).
+hosts, aggressor pounding one of them).  :func:`run_scenario` builds
+and runs every cell from one :class:`Scenario` row of :data:`CELLS`;
+E25 runs its SLO cells through the same function.  Victim percentiles
+are :func:`~repro.metrics.histogram.nearest_rank` (no interpolation).
 
 Artifact: ``results/e24_tenancy.json`` (schema-checked by
 :func:`validate_tenancy_payload`).
@@ -42,7 +45,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..check import install_checks, install_fleet_checks
-from ..fleet import HostSpec, build_fleet
+from ..fleet import Fleet, HostSpec, build_fleet
 from ..metrics.histogram import nearest_rank
 from ..net.topology import TopologySpec
 from ..sim.clock import MS
@@ -52,10 +55,10 @@ from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
 from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed, deploy_service
 
-__all__ = ["TenancyCell", "TENANCY_ARTIFACT", "SINGLE_LABELS", "FLEET_LABELS",
-           "cell_labels", "measure_single_cell", "measure_fleet_cell",
-           "render_tenancy", "tenancy_payload",
-           "validate_tenancy_payload"]
+__all__ = ["TenancyCell", "TENANCY_ARTIFACT", "CELLS", "Scenario",
+           "ScenarioRun", "cell_labels", "measure_tenancy_cell",
+           "run_scenario", "scenario_checks", "render_tenancy",
+           "tenancy_payload", "validate_tenancy_payload"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 TENANCY_ARTIFACT = "results/e24_tenancy.json"
@@ -67,10 +70,15 @@ FLEET_HORIZON_NS = 60 * MS
 VICTIM_RATE = 50_000.0
 VICTIM_REQUESTS = 100
 VICTIM_COST = 500
+FLEET_VICTIM_REQUESTS = 120
+FLEET_VICTIM_FLOWS = 8
 
 #: light bystander tenants for the 4-tenant cells
 BYSTANDER_RATE = 10_000.0
 BYSTANDER_REQUESTS = 20
+
+#: the aggressor starts sending this long after the victim
+AGGRESSOR_DELAY_NS = 200_000.0
 
 #: aggressor interference patterns (payload size, inline AEAD, send
 #: rate, frame count, handler cost in instructions)
@@ -97,18 +105,42 @@ AGGRESSOR_BUDGET = 4
 
 TENANT_COUNTS = (2, 4)
 
-SINGLE_LABELS = tuple(
-    ["solo"] + [f"{nt}t-{pattern}-{iso}"
-                for nt in TENANT_COUNTS
-                for pattern in PATTERNS
-                for iso in ("off", "on")]
-)
-FLEET_LABELS = ("solo", "storm-off", "storm-on")
-SECTIONS = ("single", "fleet")
+
+@dataclass(frozen=True)
+class Scenario:
+    """Who shares the NIC in one noisy-neighbour cell."""
+
+    #: victim + aggressor + ``n_tenants - 2`` bystanders
+    n_tenants: int = 2
+    #: the aggressor's traffic (a :data:`PATTERNS` key); "" sends none
+    pattern: str = ""
+    #: aggressor budget + rate limit on, victim weighted up
+    isolated: bool = False
+    #: deploy the aggressor (storm service + tenant) even with no traffic
+    idle_aggressor: bool = False
+
+
+#: section -> label -> scenario; the single-host cells run on one
+#: Lauberhorn host, the fleet cells on a 2-ToR rack
+CELLS = {
+    "single": {
+        "solo": Scenario(n_tenants=1, isolated=True),
+        **{f"{nt}t-{pattern}-{iso}": Scenario(nt, pattern, iso == "on")
+           for nt in TENANT_COUNTS
+           for pattern in PATTERNS
+           for iso in ("off", "on")},
+    },
+    "fleet": {
+        "solo": Scenario(idle_aggressor=True),
+        "storm-off": Scenario(pattern="storm"),
+        "storm-on": Scenario(pattern="storm", isolated=True),
+    },
+}
+SECTIONS = tuple(CELLS)
 
 
 def cell_labels(section: str) -> tuple[str, ...]:
-    return {"single": SINGLE_LABELS, "fleet": FLEET_LABELS}[section]
+    return tuple(CELLS[section])
 
 
 @dataclass(frozen=True)
@@ -134,199 +166,193 @@ class TenancyCell:
     check_samples: int = 0
 
 
-def _parse_label(label: str) -> tuple[int, str, bool]:
-    """``"4t-storm-on"`` -> (4, "storm", True); solo -> (1, "", True)."""
-    if label == "solo":
-        return 1, "", True
-    nt, pattern, iso = label.split("-")
-    return int(nt.rstrip("t")), pattern, iso == "on"
-
-
-def _build_table(n_tenants: int, pattern: str, isolated: bool) -> TenantTable:
+def _build_table(scenario: Scenario) -> TenantTable:
     """Victim + aggressor (+ bystanders); ``isolated`` turns on the
     aggressor's budget and rate limit and weights the victim up."""
     table = TenantTable()
-    table.create("victim", weight=2.0 if isolated else 1.0)
-    if pattern:
-        if isolated:
-            table.create("aggressor", weight=1.0,
-                         ctrl_budget=AGGRESSOR_BUDGET,
-                         rate_limit_rps=AGGRESSOR_RATE_LIMIT,
-                         rate_burst=AGGRESSOR_BURST)
-        else:
-            table.create("aggressor", weight=1.0)
-    for index in range(max(0, n_tenants - 2)):
+    table.create("victim", weight=2.0 if scenario.isolated else 1.0)
+    if scenario.pattern or scenario.idle_aggressor:
+        limits = dict(ctrl_budget=AGGRESSOR_BUDGET,
+                      rate_limit_rps=AGGRESSOR_RATE_LIMIT,
+                      rate_burst=AGGRESSOR_BURST) if scenario.isolated else {}
+        table.create("aggressor", weight=1.0, **limits)
+    for index in range(scenario.n_tenants - 2):
         table.create(f"bystander{index}", weight=1.0)
     return table
 
 
-def _fire_and_forget(sim, client, server_mac, server_ip, service, method,
-                     args, rate: float, count: int, rng, done: list,
-                     start_delay_ns: float = 200_000.0):
-    """Aggressor body: blast ``count`` requests open-loop, never waiting
-    for completions (rate-policed frames never complete by design)."""
-    gap = 1e9 / rate
+def _aggressor(sim, client, host, service, method, pattern: str, rng,
+               done: list, delay_ns: float, gate=None):
+    """Blast the pattern's requests open-loop after ``delay_ns``, never
+    waiting for completions (rate-policed frames never complete by
+    design); with ``gate`` an admission hold-off throttles each send."""
+    config = PATTERNS[pattern]
+    args = args_for_payload(config["payload"])
+    gap = 1e9 / config["rate"]
 
     def run():
-        yield sim.timeout(start_delay_ns)
-        for _ in range(count):
+        yield sim.timeout(delay_ns)
+        for _ in range(config["count"]):
+            if gate is not None:
+                hold = gate()
+                if hold:
+                    yield sim.timeout(hold)
             event = client.send_request(
-                server_mac, server_ip, service.udp_port,
+                host.server_mac, host.server_ip, service.udp_port,
                 service.service_id, method.method_id, args,
             )
             event.add_callback(lambda ev: done.append(1))
             yield sim.timeout(rng.expovariate(1.0) * gap)
 
-    sim.process(run(), name="e24-aggressor")
+    sim.process(run(), name="aggressor")
 
 
-def measure_single_cell(label: str, seed: int = 0) -> TenancyCell:
-    """Build, tenant-arm, invariant-arm, and drive one single-host cell."""
-    n_tenants, pattern, isolated = _parse_label(label)
-    bed = build_lauberhorn_testbed(n_clients=4, seed=seed,
-                                   preempt_on_backlog=True)
-    table = _build_table(n_tenants, pattern, isolated)
-    bed.nic.attach_tenants(table)
+def _fleet_victim(fleet, n_requests: int, rng, rtts: list):
+    """Open-loop victim spread over the fleet's flows by the balancer."""
+    gap = 1e9 / VICTIM_RATE
+    for k in range(n_requests):
+        event = fleet.send(fleet.clients[0],
+                           41000 + (k % FLEET_VICTIM_FLOWS), [k])
+        event.add_callback(lambda ev: rtts.append(ev.value.rtt_ns))
+        yield fleet.sim.timeout(rng.expovariate(1.0) * gap)
 
-    victim_service, victim_method = deploy_service(
-        bed, "lauberhorn", name="victim", udp_port=9000,
-        cost_instructions=VICTIM_COST, core=0, tenant="victim")
-    generators = []
-    aggressor_sent = 0
-    aggressor_done: list = []
-    if pattern:
-        config = PATTERNS[pattern]
-        aggr_service, aggr_method = deploy_service(
-            bed, "lauberhorn", name="aggr", udp_port=9100,
+
+def scenario_checks(target):
+    """The invariant battery (tenant checks included) for either host
+    kind: a testbed or a fleet."""
+    if isinstance(target, Fleet):
+        return install_fleet_checks(target)
+    return install_checks(target)
+
+
+@dataclass
+class ScenarioRun:
+    """What one noisy-neighbour run left behind."""
+
+    #: each host's tenant table, host 0 first
+    tables: list
+    #: victim RTTs in completion order
+    rtts: list
+    aggressor_completed: int
+    #: whatever ``arm`` returned (None when unarmed)
+    armed: object = None
+
+
+def run_scenario(scenario: Scenario, fleet: bool, seed: int, *,
+                 victim_requests: int, bystander_requests: int,
+                 aggressor_delay_ns: float, gate=None,
+                 arm=None) -> ScenarioRun:
+    """Build, tenant, deploy, and run one noisy-neighbour cell.
+
+    The calm victim runs on one tenanted Lauberhorn host, or with
+    ``fleet`` replicated on both hosts of a 2-ToR rack; the aggressor
+    and any bystanders share host 0.  ``arm(target, horizon_ns)`` runs
+    once everything is deployed, before the aggressor and the victim
+    start; ``gate`` is the aggressor's admission hold-off.
+    """
+    if fleet:
+        target = build_fleet(
+            [HostSpec(stack="lauberhorn", tor=0),
+             HostSpec(stack="lauberhorn", tor=1)],
+            topo=TopologySpec(n_tors=2),
+            n_clients=2,
+            seed=seed,
+        )
+        hosts, horizon_ns = target.hosts, FLEET_HORIZON_NS
+    else:
+        target = build_lauberhorn_testbed(n_clients=4, seed=seed,
+                                          preempt_on_backlog=True)
+        hosts, horizon_ns = [target], HORIZON_NS
+    tables = [_build_table(scenario) for _ in hosts]
+    for host, table in zip(hosts, tables):
+        host.nic.attach_tenants(table)
+
+    # Deployment order fixes service ids: on one host the victim comes
+    # first, in the fleet host 0's aggressor precedes the replicas.
+    host0 = hosts[0]
+    if not fleet:
+        victim = deploy_service(
+            host0, "lauberhorn", name="victim", udp_port=9000,
+            cost_instructions=VICTIM_COST, core=0, tenant="victim")
+    if scenario.pattern or scenario.idle_aggressor:
+        config = PATTERNS[scenario.pattern or "storm"]
+        aggressor = deploy_service(
+            host0, "lauberhorn", name="aggr", udp_port=9100,
             cost_instructions=config["cost"], core=1, tenant="aggressor",
             encrypted=config["encrypted"])
-        _fire_and_forget(
-            bed.sim, bed.clients[1], bed.server_mac, bed.server_ip,
-            aggr_service, aggr_method, args_for_payload(config["payload"]),
-            config["rate"], config["count"], random.Random(seed + 17),
-            aggressor_done)
-        aggressor_sent = config["count"]
-    for index in range(n_tenants - 2):
-        by_service, by_method = deploy_service(
-            bed, "lauberhorn", name=f"bystander{index}",
+    if fleet:
+        target.deploy(name="victim", udp_port=9000,
+                      cost_instructions=VICTIM_COST, tenant="victim")
+    for index in range(scenario.n_tenants - 2):
+        service, method = deploy_service(
+            host0, "lauberhorn", name=f"bystander{index}",
             udp_port=9200 + index, cost_instructions=VICTIM_COST,
             core=2 + index, tenant=f"bystander{index}")
         gen = OpenLoopGenerator(
-            bed.clients[2 + index],
-            ServiceMix([Target(by_service, by_method)]),
-            bed.server_mac, bed.server_ip, random.Random(seed + 31 + index))
-        bed.sim.process(gen.run(BYSTANDER_RATE, BYSTANDER_REQUESTS))
-        generators.append(gen)
+            target.clients[2 + index], ServiceMix([Target(service, method)]),
+            host0.server_mac, host0.server_ip,
+            random.Random(seed + 31 + index))
+        target.sim.process(gen.run(BYSTANDER_RATE, bystander_requests))
 
-    checks = install_checks(bed)
-    checks.start(HORIZON_NS)
-    victim_gen = OpenLoopGenerator(
-        bed.clients[0], ServiceMix([Target(victim_service, victim_method)]),
-        bed.server_mac, bed.server_ip, random.Random(seed + 1))
-    bed.sim.process(victim_gen.run(VICTIM_RATE, VICTIM_REQUESTS))
-    bed.sim.run(until=HORIZON_NS)
-    checks.finish()
-
-    rtts = victim_gen.recorder.samples
-    return TenancyCell(
-        section="single",
-        label=label,
-        tenants=[spec.name for spec in table],
-        pattern=pattern,
-        isolated=isolated,
-        n_victim=VICTIM_REQUESTS,
-        victim_completed=victim_gen.completed,
-        victim_p50_ns=nearest_rank(rtts, 0.50),
-        victim_p99_ns=nearest_rank(rtts, 0.99),
-        victim_p999_ns=nearest_rank(rtts, 0.999),
-        aggressor_sent=aggressor_sent,
-        aggressor_completed=len(aggressor_done),
-        ledger=table.snapshot(),
-        violations=len(checks.violations),
-        check_samples=checks.samples,
-    )
-
-
-FLEET_VICTIM_REQUESTS = 120
-FLEET_VICTIM_FLOWS = 8
-
-
-def measure_fleet_cell(label: str, seed: int = 0) -> TenancyCell:
-    """2-ToR rack: the victim service replicated on both Lauberhorn
-    hosts, the aggressor pounding host 0 only — cross-host blast
-    radius of one noisy tenant."""
-    solo = label == "solo"
-    isolated = label.endswith("-on")
-    pattern = "" if solo else "storm"
-    fleet = build_fleet(
-        [HostSpec(stack="lauberhorn", tor=0),
-         HostSpec(stack="lauberhorn", tor=1)],
-        topo=TopologySpec(n_tors=2),
-        n_clients=2,
-        seed=seed,
-    )
-    tables = []
-    for host in fleet.hosts:
-        table = _build_table(2, pattern or "storm", isolated)
-        host.nic.attach_tenants(table)
-        tables.append(table)
-
-    aggressor_sent = 0
+    armed = arm(target, horizon_ns) if arm is not None else None
     aggressor_done: list = []
-    host0 = fleet.hosts[0]
-    aggr_service, aggr_method = deploy_service(
-        host0, "lauberhorn", name="aggr", udp_port=9100,
-        cost_instructions=PATTERNS["storm"]["cost"], core=1,
-        tenant="aggressor", encrypted=PATTERNS["storm"]["encrypted"])
-    fleet.deploy(name="victim", udp_port=9000,
-                 cost_instructions=VICTIM_COST, tenant="victim")
+    if scenario.pattern:
+        _aggressor(target.sim, target.clients[1], host0, *aggressor,
+                   scenario.pattern, random.Random(seed + 17),
+                   aggressor_done, aggressor_delay_ns, gate)
+    rng = random.Random(seed + 1)
+    if fleet:
+        rtts: list = []
+        target.sim.process(_fleet_victim(target, victim_requests, rng, rtts),
+                           name="fleet-victim")
+    else:
+        victim_gen = OpenLoopGenerator(
+            target.clients[0], ServiceMix([Target(*victim)]),
+            host0.server_mac, host0.server_ip, rng)
+        target.sim.process(victim_gen.run(VICTIM_RATE, victim_requests))
+        rtts = victim_gen.recorder.samples
+    target.sim.run(until=horizon_ns)
+    return ScenarioRun(tables, rtts, len(aggressor_done), armed)
 
-    checks = install_fleet_checks(fleet)
-    checks.start(FLEET_HORIZON_NS)
 
-    rtts: list = []
-    completed: list = []
+def _start_checks(target, horizon_ns: float):
+    checks = scenario_checks(target)
+    checks.start(horizon_ns)
+    return checks
 
-    def victim_loop():
-        rng = random.Random(seed + 1)
-        gap = 1e9 / VICTIM_RATE
-        for k in range(FLEET_VICTIM_REQUESTS):
-            event = fleet.send(fleet.clients[0],
-                               41000 + (k % FLEET_VICTIM_FLOWS), [k])
 
-            def note(ev):
-                completed.append(1)
-                rtts.append(ev.value.rtt_ns)
+def measure_tenancy_cell(section: str, label: str,
+                         seed: int = 0) -> TenancyCell:
+    """Run one cell of the table under the full invariant battery.
 
-            event.add_callback(note)
-            yield fleet.sim.timeout(rng.expovariate(1.0) * gap)
-
-    fleet.sim.process(victim_loop(), name="e24-fleet-victim")
-    if not solo:
-        config = PATTERNS["storm"]
-        _fire_and_forget(
-            fleet.sim, fleet.clients[1], host0.server_mac, host0.server_ip,
-            aggr_service, aggr_method, args_for_payload(config["payload"]),
-            config["rate"], config["count"], random.Random(seed + 17),
-            aggressor_done)
-        aggressor_sent = config["count"]
-    fleet.run(until=FLEET_HORIZON_NS)
+    The fleet cells put the victim on both hosts of the rack and the
+    aggressor on host 0 only — the cross-host blast radius of one
+    noisy tenant.
+    """
+    scenario = CELLS[section][label]
+    fleet = section == "fleet"
+    n_victim = FLEET_VICTIM_REQUESTS if fleet else VICTIM_REQUESTS
+    run = run_scenario(scenario, fleet, seed, victim_requests=n_victim,
+                       bystander_requests=BYSTANDER_REQUESTS,
+                       aggressor_delay_ns=AGGRESSOR_DELAY_NS,
+                       arm=_start_checks)
+    checks = run.armed
     checks.finish()
-
     return TenancyCell(
-        section="fleet",
+        section=section,
         label=label,
-        tenants=[spec.name for spec in tables[0]],
-        pattern=pattern,
-        isolated=isolated,
-        n_victim=FLEET_VICTIM_REQUESTS,
-        victim_completed=len(completed),
-        victim_p50_ns=nearest_rank(rtts, 0.50),
-        victim_p99_ns=nearest_rank(rtts, 0.99),
-        victim_p999_ns=nearest_rank(rtts, 0.999),
-        aggressor_sent=aggressor_sent,
-        aggressor_completed=len(aggressor_done),
-        ledger=tables[0].snapshot(),
+        tenants=[spec.name for spec in run.tables[0]],
+        pattern=scenario.pattern,
+        isolated=scenario.isolated,
+        n_victim=n_victim,
+        victim_completed=len(run.rtts),
+        victim_p50_ns=nearest_rank(run.rtts, 0.50),
+        victim_p99_ns=nearest_rank(run.rtts, 0.99),
+        victim_p999_ns=nearest_rank(run.rtts, 0.999),
+        aggressor_sent=(PATTERNS[scenario.pattern]["count"]
+                        if scenario.pattern else 0),
+        aggressor_completed=run.aggressor_completed,
+        ledger=run.tables[0].snapshot(),
         violations=len(checks.violations),
         check_samples=checks.samples,
     )

@@ -3,8 +3,10 @@
 E24 established *that* a noisy neighbour wrecks a victim tenant's tail
 and that the tenancy machinery can contain it.  E25 asks the operator
 question on top: does the observability layer *notice in time*?  Each
-cell runs the E24 noisy-neighbour shape (calm victim, storm aggressor,
-optional bystanders) with an :class:`~repro.obs.slo.SLOTracker` armed:
+cell runs the E24 noisy-neighbour scenario (calm victim, storm
+aggressor, optional bystanders — one
+:func:`~repro.experiments.e24_tenancy.run_scenario` serves both
+experiments) with an :class:`~repro.obs.slo.SLOTracker` armed:
 the victim carries a latency objective (tight or loose), the tracker's
 error-budget ledger runs in simulated ns, and multi-window burn-rate
 alerts must fire *before* the budget actually exhausts — never in calm
@@ -35,14 +37,11 @@ convention, extended to SLO/flame.  Artifact:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from functools import partial
 
-from ..check import install_checks, install_fleet_checks
 from ..ctrl import Actuators, AdmissionGate, Controller, PolicySpec
-from ..fleet import HostSpec, build_fleet
 from ..metrics.histogram import nearest_rank
-from ..net.topology import TopologySpec
 from ..obs import (
     FlightRecorder,
     SLOSpec,
@@ -57,22 +56,21 @@ from ..obs import (
     validate_speedscope,
 )
 from ..sim.clock import MS
-from ..tenancy import TenantTable
-from ..workloads.distributions import args_for_payload
-from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
-from .e24_tenancy import PATTERNS, VICTIM_COST, VICTIM_RATE
+from .e24_tenancy import (
+    FLEET_HORIZON_NS,
+    HORIZON_NS,
+    Scenario,
+    run_scenario,
+    scenario_checks,
+)
 from .report import fmt_ns, print_table
-from .testbed import build_lauberhorn_testbed, deploy_service
 
-__all__ = ["SloCell", "SLO_ARTIFACT", "SINGLE_LABELS", "FLEET_LABELS",
-           "cell_labels", "measure_single_cell", "measure_fleet_cell",
-           "render_slo", "slo_payload", "validate_slo_payload"]
+__all__ = ["SloCell", "SLO_ARTIFACT", "CELLS", "cell_labels",
+           "measure_slo_cell", "render_slo", "slo_payload",
+           "validate_slo_payload"]
 
 #: default location of the JSON artifact (relative to the runner's cwd)
 SLO_ARTIFACT = "results/e25_slo.json"
-
-HORIZON_NS = 50 * MS
-FLEET_HORIZON_NS = 60 * MS
 
 #: long calm prefix before the storm.  Alert-before-exhaustion needs
 #: the good history inside the slow window to be well under half the
@@ -83,9 +81,8 @@ FLEET_HORIZON_NS = 60 * MS
 VICTIM_REQUESTS = 600
 STORM_DELAY_NS = 10 * MS
 
-#: light bystanders for the 4-tenant cells (sparser than E24's so the
-#: calm prefix stays genuinely calm on every core)
-BYSTANDER_RATE = 10_000.0
+#: requests per bystander in the 4-tenant cells (at E24's sparse
+#: ``BYSTANDER_RATE``)
 BYSTANDER_REQUESTS = 60
 
 #: objective tightness: "tight" sits above any calm-cell tail but far
@@ -110,23 +107,31 @@ TAIL_QUANTILE = 0.99
 #: slo_guard controller configuration for the guard cell
 GUARD_SPEC = "slo_guard,epoch=2,burn=2,hold_step=20000,hold_max=200000"
 
-TENANT_COUNTS = (2, 4)
-TIGHTNESS = ("tight", "loose")
-INTERFERENCE = ("calm", "storm")
-
-SINGLE_LABELS = tuple(
-    [f"{nt}t-{tight}-{noise}"
-     for nt in TENANT_COUNTS
-     for tight in TIGHTNESS
-     for noise in INTERFERENCE]
-    + ["2t-tight-storm-guard"]
-)
-FLEET_LABELS = ("fleet-tight-calm", "fleet-tight-storm")
-SECTIONS = ("single", "fleet")
+#: section -> label -> (scenario, objective tightness, slo_guard on).
+#: Tenancy is accounting-only (no budgets or limits): E25 measures the
+#: *detection* of interference, so the interference must be raw.
+CELLS = {
+    "single": {
+        **{f"{nt}t-{tight}-{noise}": (
+            Scenario(nt, "storm" if noise == "storm" else ""), tight, False)
+           for nt in (2, 4)
+           for tight in ("tight", "loose")
+           for noise in ("calm", "storm")},
+        "2t-tight-storm-guard": (Scenario(2, "storm"), "tight", True),
+    },
+    "fleet": {
+        # host 0 carries the idle aggressor service, as in E24's fleet
+        # solo cell; with no traffic it leaves every value unchanged
+        "fleet-tight-calm": (Scenario(2, idle_aggressor=True), "tight",
+                             False),
+        "fleet-tight-storm": (Scenario(2, "storm"), "tight", False),
+    },
+}
+SECTIONS = tuple(CELLS)
 
 
 def cell_labels(section: str) -> tuple[str, ...]:
-    return {"single": SINGLE_LABELS, "fleet": FLEET_LABELS}[section]
+    return tuple(CELLS[section])
 
 
 @dataclass(frozen=True)
@@ -163,15 +168,6 @@ class SloCell:
     check_samples: int = 0
 
 
-def _parse_label(label: str) -> tuple[int, str, str, bool]:
-    """``"4t-tight-storm"`` -> (4, "tight", "storm", False)."""
-    guarded = label.endswith("-guard")
-    if guarded:
-        label = label[: -len("-guard")]
-    nt, tightness, interference = label.split("-")
-    return int(nt.rstrip("t")), tightness, interference, guarded
-
-
 def _victim_spec(tightness: str) -> SLOSpec:
     threshold = (TIGHT_THRESHOLD_NS if tightness == "tight"
                  else LOOSE_THRESHOLD_NS)
@@ -200,44 +196,6 @@ def _aggressor_spec() -> SLOSpec:
         burn_threshold=BURN_THRESHOLD,
         min_requests=MIN_REQUESTS,
     )
-
-
-def _build_table(n_tenants: int, storm: bool) -> TenantTable:
-    """Accounting-only tenancy (no budgets/limits): E25 measures the
-    *detection* of interference, so the interference must be raw."""
-    table = TenantTable()
-    table.create("victim", weight=1.0)
-    if storm:
-        table.create("aggressor", weight=1.0)
-    for index in range(max(0, n_tenants - 2)):
-        table.create(f"bystander{index}", weight=1.0)
-    return table
-
-
-def _storm(sim, client, server_mac, server_ip, service, method, rng,
-           done: list, gate=None):
-    """The E24 storm aggressor, delayed past the calm prefix; with
-    ``gate`` the slo_guard's admission hold-off throttles each send."""
-    config = PATTERNS["storm"]
-    args = args_for_payload(config["payload"])
-    gap = 1e9 / config["rate"]
-
-    def run():
-        yield sim.timeout(STORM_DELAY_NS)
-        for _ in range(config["count"]):
-            if gate is not None:
-                hold = gate()
-                if hold:
-                    yield sim.timeout(hold)
-            event = client.send_request(
-                server_mac, server_ip, service.udp_port,
-                service.service_id, method.method_id, args,
-            )
-            event.add_callback(lambda ev: done.append(1))
-            yield sim.timeout(rng.expovariate(1.0) * gap)
-
-    sim.process(run(), name="e25-aggressor")
-    return config["count"]
 
 
 def _trim_slo_report(report: dict) -> dict:
@@ -274,197 +232,61 @@ def _per_request_diff(profile, group_a: str, group_b: str) -> dict:
             for stack in sorted(set(a) | set(b))}
 
 
-def measure_single_cell(label: str, seed: int = 0) -> SloCell:
-    """One single-host cell, run unarmed then armed (identity proof),
-    with SLO tracking, flame folding, and tail attribution on top."""
-    n_tenants, tightness, interference, guarded = _parse_label(label)
-    storm = interference == "storm"
+def _arm(target, horizon_ns: float, *, tightness: str, storm: bool, gate):
+    """Spans, flight recorder, metrics, sampler, SLO tracker, invariant
+    checks and, with ``gate``, the slo_guard controller."""
+    recorder = arm_testbed(target)
+    recorder.tag_origin = True
+    flight = FlightRecorder(target.sim, capacity=FLIGHT_CAPACITY)
+    arm_flight(target, flight, recorder=recorder)
+    registry = bind_testbed_metrics(target)
+    sampler = TimeSeriesSampler(target.sim, registry, window_ns=WINDOW_NS,
+                                max_windows=MAX_WINDOWS)
+    specs = [_victim_spec(tightness)]
+    if storm:
+        specs.append(_aggressor_spec())
+    tracker = SLOTracker(target.sim, specs, flight=flight)
+    tracker.arm(recorder=recorder, sampler=sampler, registry=registry)
+    checks = scenario_checks(target)
+    checks.flight = flight
+    actuators = None
+    if gate is not None:
+        actuators = Actuators(target.sim, nic=target.nic, gate=gate)
+        Controller(sampler, actuators, PolicySpec.from_spec(GUARD_SPEC))
+    sampler.start(horizon_ns)
+    checks.start(horizon_ns)
+    return dict(recorder=recorder, flight=flight, sampler=sampler,
+                tracker=tracker, checks=checks, actuators=actuators)
+
+
+def measure_slo_cell(section: str, label: str, seed: int = 0) -> SloCell:
+    """One cell, run unarmed then armed (identity proof), with SLO
+    tracking, flame folding, and tail attribution on top.
+
+    In the fleet cells the storm pounds host 0 only: the tracker pages
+    on the shared victim objective while the flame and tail groups
+    attribute the pain to host0's replica.
+    """
+    scenario, tightness, guarded = CELLS[section][label]
+    storm = bool(scenario.pattern)
 
     def drive(armed: bool):
-        bed = build_lauberhorn_testbed(n_clients=4, seed=seed,
-                                       preempt_on_backlog=True)
-        table = _build_table(n_tenants, storm)
-        bed.nic.attach_tenants(table)
-        victim_service, victim_method = deploy_service(
-            bed, "lauberhorn", name="victim", udp_port=9000,
-            cost_instructions=VICTIM_COST, core=0, tenant="victim")
-        aggr_parts = None
-        if storm:
-            aggr_service, aggr_method = deploy_service(
-                bed, "lauberhorn", name="aggr", udp_port=9100,
-                cost_instructions=PATTERNS["storm"]["cost"], core=1,
-                tenant="aggressor", encrypted=PATTERNS["storm"]["encrypted"])
-            aggr_parts = (aggr_service, aggr_method)
-        for index in range(n_tenants - 2):
-            by_service, by_method = deploy_service(
-                bed, "lauberhorn", name=f"bystander{index}",
-                udp_port=9200 + index, cost_instructions=VICTIM_COST,
-                core=2 + index, tenant=f"bystander{index}")
-            gen = OpenLoopGenerator(
-                bed.clients[2 + index],
-                ServiceMix([Target(by_service, by_method)]),
-                bed.server_mac, bed.server_ip,
-                random.Random(seed + 31 + index))
-            bed.sim.process(gen.run(BYSTANDER_RATE, BYSTANDER_REQUESTS))
+        gate = AdmissionGate() if armed and guarded else None
+        arm = partial(_arm, tightness=tightness, storm=storm, gate=gate)
+        return run_scenario(scenario, section == "fleet", seed,
+                            victim_requests=VICTIM_REQUESTS,
+                            bystander_requests=BYSTANDER_REQUESTS,
+                            aggressor_delay_ns=STORM_DELAY_NS, gate=gate,
+                            arm=arm if armed else None)
 
-        obs = {}
-        gate = None
-        if armed:
-            recorder = arm_testbed(bed)
-            recorder.tag_origin = True
-            flight = FlightRecorder(bed.sim, capacity=FLIGHT_CAPACITY)
-            arm_flight(bed, flight, recorder=recorder)
-            registry = bind_testbed_metrics(bed)
-            sampler = TimeSeriesSampler(bed.sim, registry,
-                                        window_ns=WINDOW_NS,
-                                        max_windows=MAX_WINDOWS)
-            specs = [_victim_spec(tightness)]
-            if storm:
-                specs.append(_aggressor_spec())
-            tracker = SLOTracker(bed.sim, specs, flight=flight)
-            tracker.arm(recorder=recorder, sampler=sampler,
-                        registry=registry)
-            checks = install_checks(bed)
-            checks.flight = flight
-            actuators = None
-            if guarded:
-                gate = AdmissionGate()
-                actuators = Actuators(bed.sim, nic=bed.nic, gate=gate)
-                Controller(sampler, actuators,
-                           PolicySpec.from_spec(GUARD_SPEC))
-            sampler.start(HORIZON_NS)
-            checks.start(HORIZON_NS)
-            obs = dict(recorder=recorder, flight=flight, sampler=sampler,
-                       tracker=tracker, checks=checks, actuators=actuators)
+    # the guard cell's controller actuates by design: no identity proof
+    base_rtts = None if guarded else drive(armed=False).rtts
+    run = drive(armed=True)
+    obs = run.armed
+    obs["sampler"].finish()
+    violations = obs["checks"].finish()
 
-        aggressor_done: list = []
-        if storm:
-            _storm(bed.sim, bed.clients[1], bed.server_mac, bed.server_ip,
-                   aggr_parts[0], aggr_parts[1], random.Random(seed + 17),
-                   aggressor_done, gate=gate)
-        victim_gen = OpenLoopGenerator(
-            bed.clients[0],
-            ServiceMix([Target(victim_service, victim_method)]),
-            bed.server_mac, bed.server_ip, random.Random(seed + 1))
-        bed.sim.process(victim_gen.run(VICTIM_RATE, VICTIM_REQUESTS))
-        bed.sim.run(until=HORIZON_NS)
-        if armed:
-            obs["sampler"].finish()
-            obs["violations"] = obs["checks"].finish()
-        return list(victim_gen.recorder.samples), victim_gen.completed, obs
-
-    identical: bool | None = None
-    if not guarded:
-        base_rtts, _, _ = drive(armed=False)
-    rtts, completed, obs = drive(armed=True)
-    if not guarded:
-        identical = rtts == base_rtts
-
-    return _finish_cell("single", label, n_tenants, tightness, interference,
-                        guarded, identical, VICTIM_REQUESTS, completed,
-                        rtts, obs)
-
-
-FLEET_VICTIM_REQUESTS = 600
-FLEET_VICTIM_FLOWS = 8
-
-
-def measure_fleet_cell(label: str, seed: int = 0) -> SloCell:
-    """2-ToR rack, victim replicated on both hosts, storm on host 0:
-    the tracker pages on the shared victim objective while the flame
-    and tail groups attribute the pain to host0's replica."""
-    n_tenants, tightness, interference, _ = _parse_label(
-        label.replace("fleet-", "2t-"))
-    storm = interference == "storm"
-
-    def drive(armed: bool):
-        fleet = build_fleet(
-            [HostSpec(stack="lauberhorn", tor=0),
-             HostSpec(stack="lauberhorn", tor=1)],
-            topo=TopologySpec(n_tors=2),
-            n_clients=2,
-            seed=seed,
-        )
-        for host in fleet.hosts:
-            host.nic.attach_tenants(_build_table(2, storm))
-        host0 = fleet.hosts[0]
-        aggr_parts = None
-        if storm:
-            aggr_service, aggr_method = deploy_service(
-                host0, "lauberhorn", name="aggr", udp_port=9100,
-                cost_instructions=PATTERNS["storm"]["cost"], core=1,
-                tenant="aggressor", encrypted=PATTERNS["storm"]["encrypted"])
-            aggr_parts = (aggr_service, aggr_method)
-        fleet.deploy(name="victim", udp_port=9000,
-                     cost_instructions=VICTIM_COST, tenant="victim")
-
-        obs = {}
-        if armed:
-            recorder = arm_testbed(fleet)
-            recorder.tag_origin = True
-            flight = FlightRecorder(fleet.sim, capacity=FLIGHT_CAPACITY)
-            arm_flight(fleet, flight, recorder=recorder)
-            registry = bind_testbed_metrics(fleet)
-            sampler = TimeSeriesSampler(fleet.sim, registry,
-                                        window_ns=WINDOW_NS,
-                                        max_windows=MAX_WINDOWS)
-            specs = [_victim_spec(tightness)]
-            if storm:
-                specs.append(_aggressor_spec())
-            tracker = SLOTracker(fleet.sim, specs, flight=flight)
-            tracker.arm(recorder=recorder, sampler=sampler,
-                        registry=registry)
-            checks = install_fleet_checks(fleet)
-            checks.flight = flight
-            sampler.start(FLEET_HORIZON_NS)
-            checks.start(FLEET_HORIZON_NS)
-            obs = dict(recorder=recorder, flight=flight, sampler=sampler,
-                       tracker=tracker, checks=checks, actuators=None)
-
-        rtts: list = []
-        completed: list = []
-
-        def victim_loop():
-            rng = random.Random(seed + 1)
-            gap = 1e9 / VICTIM_RATE
-            for k in range(FLEET_VICTIM_REQUESTS):
-                event = fleet.send(fleet.clients[0],
-                                   41000 + (k % FLEET_VICTIM_FLOWS), [k])
-
-                def note(ev):
-                    completed.append(1)
-                    rtts.append(ev.value.rtt_ns)
-
-                event.add_callback(note)
-                yield fleet.sim.timeout(rng.expovariate(1.0) * gap)
-
-        fleet.sim.process(victim_loop(), name="e25-fleet-victim")
-        aggressor_done: list = []
-        if storm:
-            _storm(fleet.sim, fleet.clients[1], host0.server_mac,
-                   host0.server_ip, aggr_parts[0], aggr_parts[1],
-                   random.Random(seed + 17), aggressor_done)
-        fleet.run(until=FLEET_HORIZON_NS)
-        if armed:
-            obs["sampler"].finish()
-            obs["violations"] = obs["checks"].finish()
-        return list(rtts), len(completed), obs
-
-    base_rtts, _, _ = drive(armed=False)
-    rtts, completed, obs = drive(armed=True)
-    identical = rtts == base_rtts
-
-    return _finish_cell("fleet", label, n_tenants, tightness, interference,
-                        False, identical, FLEET_VICTIM_REQUESTS, completed,
-                        rtts, obs)
-
-
-def _finish_cell(section, label, n_tenants, tightness, interference,
-                 guarded, identical, n_victim, completed, rtts,
-                 obs) -> SloCell:
-    recorder = obs["recorder"]
-    tracker = obs["tracker"]
-    profile = fold_spans(recorder)
+    profile = fold_spans(obs["recorder"])
     speedscope_ok = False
     if profile.groups():
         try:
@@ -472,31 +294,30 @@ def _finish_cell(section, label, n_tenants, tightness, interference,
             speedscope_ok = True
         except ValueError:
             speedscope_ok = False
-    host = "host0"
-    tail = tail_report(recorder, obs["sampler"], flight=obs["flight"],
+    tail = tail_report(obs["recorder"], obs["sampler"], flight=obs["flight"],
                        quantile=TAIL_QUANTILE, max_requests=8)
-    actuators = obs.get("actuators")
+    actuators = obs["actuators"]
     return SloCell(
         section=section,
         label=label,
-        n_tenants=n_tenants,
+        n_tenants=scenario.n_tenants,
         tightness=tightness,
-        interference=interference,
+        interference="storm" if storm else "calm",
         guarded=guarded,
-        identical=identical,
-        n_victim=n_victim,
-        victim_completed=completed,
-        victim_p50_ns=nearest_rank(rtts, 0.50),
-        victim_p99_ns=nearest_rank(rtts, 0.99),
-        victim_p999_ns=nearest_rank(rtts, 0.999),
-        slo=_trim_slo_report(tracker.report()),
+        identical=None if guarded else run.rtts == base_rtts,
+        n_victim=VICTIM_REQUESTS,
+        victim_completed=len(run.rtts),
+        victim_p50_ns=nearest_rank(run.rtts, 0.50),
+        victim_p99_ns=nearest_rank(run.rtts, 0.99),
+        victim_p999_ns=nearest_rank(run.rtts, 0.999),
+        slo=_trim_slo_report(obs["tracker"].report()),
         flame=_flame_summary(profile),
-        flame_diff=_per_request_diff(profile, f"{host}/victim",
-                                     f"{host}/aggressor"),
+        flame_diff=_per_request_diff(profile, "host0/victim",
+                                     "host0/aggressor"),
         speedscope_ok=speedscope_ok,
         tail_groups=tail.get("groups", {}),
         guard_actuations=len(actuators.log) if actuators else 0,
-        violations=len(obs["violations"]),
+        violations=len(violations),
         check_samples=obs["checks"].samples,
     )
 

@@ -28,6 +28,36 @@ def test_registry_covers_all_experiments():
         assert all(job.experiment == name for job in jobs)
 
 
+def test_grid_experiment_job_ids_are_stable():
+    """CI, docs and ``run_all`` name these job ids; they must not move."""
+    assert EXPERIMENT_SPECS["e23"].job_ids == [
+        f"e23/{cell}" for cell in (
+            "scaling@r1", "scaling@r2", "scaling@r4",
+            "skew@a0.0", "skew@a0.9", "skew@a1.5",
+            "placement@none", "placement@one", "placement@same_rack",
+            "placement@split", "placement@all", "placement@mixed")]
+    assert EXPERIMENT_SPECS["e24"].job_ids == (
+        ["e24/single@solo"]
+        + [f"e24/single@{nt}t-{pattern}-{iso}"
+           for nt in (2, 4)
+           for pattern in ("storm", "dmaflood", "rateviol")
+           for iso in ("off", "on")]
+        + ["e24/fleet@solo", "e24/fleet@storm-off", "e24/fleet@storm-on"])
+    assert EXPERIMENT_SPECS["e25"].job_ids == (
+        [f"e25/single@{nt}t-{tight}-{noise}"
+         for nt in (2, 4)
+         for tight in ("tight", "loose")
+         for noise in ("calm", "storm")]
+        + ["e25/single@2t-tight-storm-guard",
+           "e25/fleet@fleet-tight-calm", "e25/fleet@fleet-tight-storm"])
+    counts = [len(EXPERIMENT_SPECS[name].job_ids)
+              for name in ("e23", "e24", "e25")]
+    assert counts == [12, 16, 11]
+    for job_id in ("e24/fleet@storm-on", "e25/single@2t-tight-storm-guard",
+                   "e25/fleet@fleet-tight-storm", "e25/single@2t-tight-calm"):
+        assert job_id in EXPERIMENT_SPECS[job_id.partition("/")[0]].job_ids
+
+
 def test_subset_selection_and_order(capsys):
     assert main(["e18", "e7", "--no-cache"]) == 0
     out = capsys.readouterr().out

@@ -8,10 +8,11 @@ import pytest
 from repro.exp.jobs import EXPERIMENT_SPECS
 from repro.exp.pool import jsonable
 from repro.experiments.e24_tenancy import (
+    CELLS,
     SECTIONS,
     TenancyCell,
     cell_labels,
-    measure_single_cell,
+    measure_tenancy_cell,
     render_tenancy,
     validate_tenancy_payload,
 )
@@ -129,14 +130,17 @@ def test_validation_requires_full_grid_and_headline_when_complete(smoke):
 
 
 def test_cell_measurement_is_deterministic():
-    first = measure_single_cell("2t-rateviol-on")
-    second = measure_single_cell("2t-rateviol-on")
+    first = measure_tenancy_cell("single", "2t-rateviol-on")
+    second = measure_tenancy_cell("single", "2t-rateviol-on")
     assert jsonable(first) == jsonable(second)
 
 
 def test_labels_cover_every_section():
+    assert SECTIONS == tuple(CELLS) == ("single", "fleet")
     for section in SECTIONS:
         labels = cell_labels(section)
         assert labels and labels[0] == "solo"
+        assert labels == tuple(CELLS[section])
     with pytest.raises(KeyError):
         cell_labels("nope")
+

@@ -1,8 +1,11 @@
-"""Golden regression corpus: E1-E23 at the default seed, frozen.
+"""Golden regression corpus: E1-E23 (and E24/E25 jobs) at the default
+seed, frozen.
 
 Every deterministic experiment's structured results are pinned:
 E1-E18 as full JSON under ``tests/golden/<name>.json``, E19-E23 (whose
 payloads are large) as SHA-256 digests in ``tests/golden/hashes.json``.
+E24/E25 take minutes whole, so the same file pins a handful of their
+single jobs (``HASHED_JOBS``), each keyed by job id.
 With E24 in the tree, these pins are also the tenancy layer's
 no-regression contract: a build with :mod:`repro.tenancy` present but
 unconfigured must reproduce every historical experiment byte for byte.
@@ -28,7 +31,7 @@ import pytest
 
 from repro.ctrl import PolicySpec
 from repro.ctrl import active as policy_active
-from repro.exp.golden import HASHED_EXPERIMENTS, golden_digest
+from repro.exp.golden import HASHED_EXPERIMENTS, HASHED_JOBS, golden_digest
 from repro.exp.jobs import run_experiments
 
 GOLDEN_DIR = pathlib.Path(__file__).parent
@@ -85,19 +88,46 @@ def fresh_values():
     return _run_under_inert_policy(GOLDEN_EXPERIMENTS)
 
 
-@pytest.fixture(scope="module")
-def hashed_values(tmp_path_factory):
-    """One run of the digest-pinned experiments, artifacts in a tmp cwd.
+def _run_in_tmp_cwd(tmp_path_factory, names):
+    """``_run_under_inert_policy`` with artifacts written to a tmp cwd.
 
-    E20/E21 write ``results/*`` artifacts as part of their assembly;
+    E20-E25 write ``results/*`` artifacts as part of their assembly;
     running in a temporary directory keeps the checkout clean.
     """
     keep = os.getcwd()
     os.chdir(tmp_path_factory.mktemp("golden-artifacts"))
     try:
-        return _run_under_inert_policy(HASHED_EXPERIMENTS)
+        return _run_under_inert_policy(names)
     finally:
         os.chdir(keep)
+
+
+@pytest.fixture(scope="module")
+def hashed_values(tmp_path_factory):
+    """One run of the digest-pinned experiments."""
+    return _run_in_tmp_cwd(tmp_path_factory, HASHED_EXPERIMENTS)
+
+
+def _check_pin(key, value):
+    path = GOLDEN_DIR / "hashes.json"
+    assert path.exists(), (
+        f"{path} missing — run `python tools/regen_golden.py --hashes`"
+    )
+    pins = json.loads(path.read_text())
+    assert key in pins, (
+        f"{key} has no pin in tests/golden/hashes.json — regenerate with "
+        "`python tools/regen_golden.py --hashes`"
+    )
+    pin = pins[key]
+    actual = golden_digest(value)
+    if actual != pin:
+        pytest.fail(
+            f"{key} results diverged from the pinned digest "
+            f"({pin[:12]}… -> {actual[:12]}…).\n"
+            "Digest-pinned results have no per-path diff; rerun the "
+            "experiment to inspect, and if the change is intentional "
+            "regenerate with `python tools/regen_golden.py --hashes`."
+        )
 
 
 @pytest.mark.parametrize("name", GOLDEN_EXPERIMENTS)
@@ -122,21 +152,11 @@ def test_experiment_matches_golden(name, fresh_values):
 
 @pytest.mark.parametrize("name", HASHED_EXPERIMENTS)
 def test_experiment_matches_hash_pin(name, hashed_values):
-    path = GOLDEN_DIR / "hashes.json"
-    assert path.exists(), (
-        f"{path} missing — run `python tools/regen_golden.py --hashes`"
-    )
-    pins = json.loads(path.read_text())
-    assert name in pins, (
-        f"{name} has no pin in tests/golden/hashes.json — regenerate with "
-        "`python tools/regen_golden.py --hashes`"
-    )
-    actual = golden_digest(hashed_values[name])
-    if actual != pins[name]:
-        pytest.fail(
-            f"{name} results diverged from the pinned digest "
-            f"({pins[name][:12]}… -> {actual[:12]}…).\n"
-            "Digest-pinned experiments have no per-path diff; rerun the "
-            "experiment to inspect, and if the change is intentional "
-            "regenerate with `python tools/regen_golden.py --hashes`."
-        )
+    _check_pin(name, hashed_values[name])
+
+
+@pytest.mark.parametrize("job_id", HASHED_JOBS)
+def test_job_matches_hash_pin(job_id, tmp_path_factory):
+    """One job alone, exactly as ``run_all <job id>`` selects it."""
+    name = job_id.partition("/")[0]
+    _check_pin(job_id, _run_in_tmp_cwd(tmp_path_factory, [job_id])[name])

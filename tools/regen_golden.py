@@ -3,9 +3,9 @@
 
 Runs every deterministic experiment at the default root seed and pins
 its structured results: E1-E18 as full JSON files
-(``tests/golden/<name>.json``), E19-E23 as SHA-256 digests
-(``tests/golden/hashes.json``, volatile wall-clock fields stripped —
-see :mod:`repro.exp.golden`).  The tier-1 test
+(``tests/golden/<name>.json``), E19-E23 and the E24/E25 jobs named in
+``HASHED_JOBS`` as SHA-256 digests (``tests/golden/hashes.json``,
+volatile wall-clock fields stripped — see :mod:`repro.exp.golden`).  The tier-1 test
 ``tests/golden/test_golden.py`` re-runs the experiments and diffs
 against these pins, so regenerate (``make regen-golden``) whenever an
 intentional behaviour change shifts the numbers — and eyeball the git
@@ -15,7 +15,7 @@ Usage::
 
     python tools/regen_golden.py            # all of e1..e18
     python tools/regen_golden.py e5 e11     # a subset
-    python tools/regen_golden.py --hashes   # re-pin e19..e23 digests
+    python tools/regen_golden.py --hashes   # re-pin e19..e23 + job digests
 """
 
 from __future__ import annotations
@@ -31,7 +31,11 @@ from contextlib import redirect_stdout
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.exp.golden import HASHED_EXPERIMENTS, golden_digest  # noqa: E402
+from repro.exp.golden import (  # noqa: E402
+    HASHED_EXPERIMENTS,
+    HASHED_JOBS,
+    golden_digest,
+)
 from repro.exp.jobs import run_experiments  # noqa: E402
 
 GOLDEN_DIR = REPO / "tests" / "golden"
@@ -59,26 +63,33 @@ def regenerate(names: list[str]) -> int:
 
 
 def regenerate_hashes() -> int:
-    """Re-pin the digest corpus (artifact writes go to a tmp cwd)."""
+    """Re-pin the digest corpus (artifact writes go to a tmp cwd).
+
+    The experiments run as one selection; each pinned job runs as its
+    own selection, exactly as ``run_all <job id>`` would run it.
+    """
     keep = os.getcwd()
     tables = io.StringIO()
+    selections = [list(HASHED_EXPERIMENTS)] + [[job] for job in HASHED_JOBS]
+    pins = {}
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
-            with redirect_stdout(tables):
-                outcome = run_experiments(list(HASHED_EXPERIMENTS), jobs=1,
-                                          cache=None, root_seed=0)
+            for selection in selections:
+                with redirect_stdout(tables):
+                    outcome = run_experiments(selection, jobs=1,
+                                              cache=None, root_seed=0)
+                if outcome.failed:
+                    sys.stdout.write(tables.getvalue())
+                    print("experiment failures; hashes NOT written",
+                          file=sys.stderr)
+                    return 1
+                for key in selection:
+                    value = outcome.values[key.partition("/")[0]]
+                    pins[key] = golden_digest(
+                        json.loads(json.dumps(value, sort_keys=True)))
         finally:
             os.chdir(keep)
-    if outcome.failed:
-        sys.stdout.write(tables.getvalue())
-        print("experiment failures; hashes NOT written", file=sys.stderr)
-        return 1
-    pins = {
-        name: golden_digest(
-            json.loads(json.dumps(outcome.values[name], sort_keys=True)))
-        for name in HASHED_EXPERIMENTS
-    }
     path = GOLDEN_DIR / "hashes.json"
     path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path.relative_to(REPO)}")
