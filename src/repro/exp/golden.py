@@ -28,8 +28,11 @@ from __future__ import annotations
 import hashlib
 import json
 
-__all__ = ["HASHED_EXPERIMENTS", "HASHED_JOBS", "VOLATILE_KEYS", "canonical",
-           "golden_digest"]
+__all__ = ["GOLDEN_EXPERIMENTS", "HASHED_EXPERIMENTS", "HASHED_JOBS",
+           "VOLATILE_KEYS", "canonical", "golden_digest"]
+
+#: experiments pinned as full JSON (``tests/golden/<name>.json``)
+GOLDEN_EXPERIMENTS = tuple(f"e{i}" for i in range(1, 19))
 
 #: experiments pinned by digest rather than full JSON
 HASHED_EXPERIMENTS = ("e19", "e20", "e21", "e22", "e23")

@@ -29,8 +29,7 @@ from .testbed import (
     deploy_service,
 )
 
-__all__ = ["StackResult", "STACKS", "measure_stack", "render_four_stacks",
-           "run_four_stacks"]
+__all__ = ["StackResult", "STACKS", "measure_stack", "render_four_stacks"]
 
 HANDLER_COST = 500
 
@@ -104,10 +103,3 @@ def render_four_stacks(results: list[StackResult]) -> None:
           fmt_ns(r.busy_ns_per_request)) for r in results],
         title="Section 2's design space — four stacks, one workload",
     )
-
-
-def run_four_stacks(n_requests: int = 25, verbose: bool = True) -> list[StackResult]:
-    results = [measure_stack(stack, n_requests) for stack in STACKS]
-    if verbose:
-        render_four_stacks(results)
-    return results

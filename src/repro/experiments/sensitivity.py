@@ -25,7 +25,7 @@ from .report import fmt_ns, print_table
 from .testbed import build_bypass_testbed, build_lauberhorn_testbed
 
 __all__ = ["SensitivityPoint", "lauberhorn_rtt_at", "bypass_baseline_rtt",
-           "assemble_sensitivity", "render_sensitivity", "run_sensitivity"]
+           "assemble_sensitivity", "render_sensitivity"]
 
 HANDLER_COST = 500
 
@@ -139,18 +139,3 @@ def render_sensitivity(
     else:
         print(f"\nbreak-even one-way latency ≈ {fmt_ns(break_even)} "
               "(ECI is 350 ns; CXL 3.0 ~125 ns — ample headroom).")
-
-
-def run_sensitivity(
-    one_way_sweep=(125, 250, 350, 500, 700, 1000, 1400),
-    verbose: bool = True,
-) -> tuple[list[SensitivityPoint], Optional[float]]:
-    bypass_rtt = bypass_baseline_rtt()
-    points, break_even = assemble_sensitivity(
-        one_way_sweep,
-        [lauberhorn_rtt_at(float(one_way)) for one_way in one_way_sweep],
-        bypass_rtt,
-    )
-    if verbose:
-        render_sensitivity(points, break_even)
-    return points, break_even

@@ -32,7 +32,7 @@ from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed, build_linux_testbed
 
 __all__ = ["ServerlessResult", "measure_serverless_stack",
-           "render_serverless", "run_serverless"]
+           "render_serverless"]
 
 HANDLER_COST = 2000  # a small function body
 BASE_PORT = 9000
@@ -133,24 +133,6 @@ def measure_serverless_stack(
             bed.nic.telemetry.kernel_dispatch_fraction(),
         )
     raise ValueError(f"unknown stack {stack!r}")
-
-
-def run_serverless(
-    n_functions: int = 24,
-    n_serving: int = 4,
-    duration_ms: float = 8.0,
-    rate_per_sec: float = 30_000,
-    seed: int = 0,
-    verbose: bool = True,
-) -> list[ServerlessResult]:
-    results = [
-        measure_serverless_stack(stack, n_functions, n_serving, duration_ms,
-                                 rate_per_sec, seed)
-        for stack in ("linux", "lauberhorn")
-    ]
-    if verbose:
-        render_serverless(results, n_serving)
-    return results
 
 
 def render_serverless(

@@ -9,13 +9,25 @@ paper flags as a benefit of making the NIC part of the OS.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..nic.lauberhorn import EndpointKind
 from ..os.nicsched import NicScheduler, lauberhorn_user_loop
 from ..sim.clock import MS
 from .report import fmt_ns, print_table
 from .testbed import build_lauberhorn_testbed
 
-__all__ = ["run_telemetry_breakdown"]
+__all__ = ["TelemetryBreakdown", "run_telemetry_breakdown"]
+
+
+@dataclass(frozen=True)
+class TelemetryBreakdown:
+    """What the NIC's telemetry ring reports after the run."""
+
+    completed: int
+    kernel_dispatch_fraction: float
+    #: service name -> stage -> {"p50": ns, "p99": ns}
+    stages: dict[str, dict[str, dict[str, float]]]
 
 
 def run_telemetry_breakdown(n_requests: int = 20, verbose: bool = True):
@@ -52,15 +64,19 @@ def run_telemetry_breakdown(n_requests: int = 20, verbose: bool = True):
     bed.machine.run(until=1000 * MS)
 
     telemetry = bed.nic.telemetry
-    if verbose:
-        for service in (hot, cold):
-            breakdown = telemetry.breakdown(service.service_id)
+    stages = {}
+    for service in (hot, cold):
+        breakdown = telemetry.breakdown(service.service_id)
+        stages[service.name] = {stage: {"p50": summary.p50, "p99": summary.p99}
+                                for stage, summary in breakdown.items()}
+        if verbose:
             print_table(
                 ["stage", "p50", "p99"],
                 [(stage, fmt_ns(summary.p50), fmt_ns(summary.p99))
                  for stage, summary in breakdown.items()],
                 title=f"NIC telemetry — service {service.name!r}",
             )
-        print(f"\nkernel-dispatch fraction: "
-              f"{telemetry.kernel_dispatch_fraction():.2f}")
-    return telemetry
+    fraction = telemetry.kernel_dispatch_fraction()
+    if verbose:
+        print(f"\nkernel-dispatch fraction: {fraction:.2f}")
+    return TelemetryBreakdown(len(telemetry.completed), fraction, stages)

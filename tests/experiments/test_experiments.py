@@ -1,8 +1,9 @@
 """Smoke + shape tests for the experiment modules (reduced scale).
 
-The benchmarks run the full-size experiments; these tests run reduced
-configurations so the unit suite stays fast while still validating the
-paper-shape assertions end to end.
+The paper's shape claims at the full, ``run_all`` default sizes are
+checked against the golden corpus (``tests/golden/test_claims.py``);
+these tests run reduced configurations so the unit suite stays fast
+while still validating the paper-shape assertions end to end.
 """
 
 import pytest

@@ -31,11 +31,15 @@ import pytest
 
 from repro.ctrl import PolicySpec
 from repro.ctrl import active as policy_active
-from repro.exp.golden import HASHED_EXPERIMENTS, HASHED_JOBS, golden_digest
+from repro.exp.golden import (
+    GOLDEN_EXPERIMENTS,
+    HASHED_EXPERIMENTS,
+    HASHED_JOBS,
+    golden_digest,
+)
 from repro.exp.jobs import run_experiments
 
 GOLDEN_DIR = pathlib.Path(__file__).parent
-GOLDEN_EXPERIMENTS = tuple(f"e{i}" for i in range(1, 19))
 
 _MAX_DIFFS_SHOWN = 12
 

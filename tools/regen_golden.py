@@ -9,7 +9,10 @@ volatile wall-clock fields stripped — see :mod:`repro.exp.golden`).  The tier-
 ``tests/golden/test_golden.py`` re-runs the experiments and diffs
 against these pins, so regenerate (``make regen-golden``) whenever an
 intentional behaviour change shifts the numbers — and eyeball the git
-diff to confirm the shift is the one you meant to make.
+diff to confirm the shift is the one you meant to make.  A JSON-pinned
+selection is also checked against the paper's shape claims
+(:mod:`repro.exp.claims`) before anything is written: a run that
+breaks a claim lists the broken claim ids and writes nothing.
 
 Usage::
 
@@ -31,7 +34,9 @@ from contextlib import redirect_stdout
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.exp.claims import check_claims  # noqa: E402
 from repro.exp.golden import (  # noqa: E402
+    GOLDEN_EXPERIMENTS,
     HASHED_EXPERIMENTS,
     HASHED_JOBS,
     golden_digest,
@@ -39,7 +44,6 @@ from repro.exp.golden import (  # noqa: E402
 from repro.exp.jobs import run_experiments  # noqa: E402
 
 GOLDEN_DIR = REPO / "tests" / "golden"
-GOLDEN_EXPERIMENTS = tuple(f"e{i}" for i in range(1, 19))
 
 
 def regenerate(names: list[str]) -> int:
@@ -51,6 +55,12 @@ def regenerate(names: list[str]) -> int:
     if outcome.failed:
         sys.stdout.write(tables.getvalue())
         print("experiment failures; goldens NOT written", file=sys.stderr)
+        return 1
+    broken = check_claims(outcome.values)
+    if broken:
+        for claim_id in broken:
+            print(f"claim broken: {claim_id}", file=sys.stderr)
+        print("paper claims broken; goldens NOT written", file=sys.stderr)
         return 1
     for name in names:
         path = GOLDEN_DIR / f"{name}.json"
