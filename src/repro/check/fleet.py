@@ -33,10 +33,7 @@ from ..net.packet import parse_udp_frame
 from .invariants import (
     _install_clock_checks,
     _install_conservation_checks,
-    _install_lauberhorn_checks,
-    _install_mesi_checks,
-    _install_ring_checks,
-    _install_scheduler_checks,
+    _install_host_checks,
 )
 from .registry import CheckRegistry
 
@@ -189,18 +186,7 @@ def install_fleet_checks(
     reg = CheckRegistry(fleet.sim, interval_ns=interval_ns)
     _install_clock_checks(reg)
     for host in fleet.hosts:
-        if host.machine.fabric is not None:
-            _install_mesi_checks(reg, host.machine.fabric)
-        if hasattr(host.nic, "queues") or hasattr(host.nic, "endpoints"):
-            _install_ring_checks(reg, host.nic)
-        if host.kernel is not None:
-            _install_scheduler_checks(reg, host.kernel)
-        if hasattr(host.nic, "lstats"):
-            _install_lauberhorn_checks(reg, host.nic)
-        if getattr(host.nic, "tenants", None) is not None:
-            from .tenancy import install_tenancy_checks
-
-            install_tenancy_checks(reg, host.nic)
+        _install_host_checks(reg, host.machine, host.kernel, host.nic)
     links = fleet_links(fleet)
     _install_conservation_checks(reg, links)
     _install_fleet_conservation(reg, links)

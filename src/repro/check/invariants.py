@@ -1,8 +1,7 @@
 """The repo's runtime invariants, wired onto live components.
 
-:func:`install_checks` takes an assembled testbed (or the pieces of
-one) and registers every applicable invariant on a fresh
-:class:`~repro.check.registry.CheckRegistry`:
+:func:`install_checks` takes an assembled testbed and registers every
+applicable invariant on a fresh :class:`~repro.check.registry.CheckRegistry`:
 
 * **clock** — simulation time never runs backwards, and the next
   scheduled event is never in the past;
@@ -31,7 +30,7 @@ benchmarks without checks execute exactly the code they always did.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..hw.coherence import CoherenceFabric, LineState
 from .registry import CheckRegistry
@@ -354,47 +353,36 @@ def _install_lauberhorn_checks(reg: CheckRegistry, nic) -> None:
 # -- entry point ---------------------------------------------------------
 
 
-def install_checks(
-    bed=None,
-    *,
-    machine=None,
-    kernel=None,
-    nic=None,
-    links: Optional[list] = None,
-    interval_ns: float = 250_000.0,
-) -> CheckRegistry:
-    """Register every applicable invariant; returns the registry.
-
-    Pass a :class:`~repro.experiments.testbed.Testbed` (preferred) or
-    the individual components.  Call ``reg.start(horizon_ns)`` before
-    running to sample periodically, and ``reg.assert_clean()`` after.
-    """
-    if bed is not None:
-        machine = machine or bed.machine
-        kernel = kernel if kernel is not None else bed.kernel
-        nic = nic if nic is not None else bed.nic
-        if links is None:
-            links = []
-            for port in bed.switch.ports.values():
-                links.append(port.ingress)
-                links.append(port.egress)
-    if machine is None:
-        raise ValueError("install_checks needs a testbed or a machine")
-
-    reg = CheckRegistry(machine.sim, interval_ns=interval_ns)
-    _install_clock_checks(reg)
+def _install_host_checks(reg: CheckRegistry, machine, kernel, nic) -> None:
+    """The per-machine invariants: MESI, rings, scheduler, Lauberhorn
+    accounting and tenancy, each only where the component exists."""
     if machine.fabric is not None:
         _install_mesi_checks(reg, machine.fabric)
-    if links:
-        _install_conservation_checks(reg, links)
-    if nic is not None and (hasattr(nic, "queues") or hasattr(nic, "endpoints")):
+    if hasattr(nic, "queues") or hasattr(nic, "endpoints"):
         _install_ring_checks(reg, nic)
     if kernel is not None:
         _install_scheduler_checks(reg, kernel)
-    if nic is not None and hasattr(nic, "lstats"):
+    if hasattr(nic, "lstats"):
         _install_lauberhorn_checks(reg, nic)
-    if nic is not None and getattr(nic, "tenants", None) is not None:
+    if getattr(nic, "tenants", None) is not None:
         from .tenancy import install_tenancy_checks
 
         install_tenancy_checks(reg, nic)
+
+
+def install_checks(bed, *, interval_ns: float = 250_000.0) -> CheckRegistry:
+    """Register every applicable invariant on a
+    :class:`~repro.experiments.testbed.Testbed`; returns the registry.
+
+    Call ``reg.start(horizon_ns)`` before running to sample
+    periodically, and ``reg.assert_clean()`` after.
+    """
+    reg = CheckRegistry(bed.sim, interval_ns=interval_ns)
+    _install_clock_checks(reg)
+    _install_host_checks(reg, bed.machine, bed.kernel, bed.nic)
+    _install_conservation_checks(reg, [
+        link
+        for port in bed.switch.ports.values()
+        for link in (port.ingress, port.egress)
+    ])
     return reg

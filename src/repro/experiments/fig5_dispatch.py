@@ -25,11 +25,14 @@ from dataclasses import dataclass
 from ..metrics.cycles import CycleWindow
 from ..metrics.histogram import LatencyRecorder
 from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import NicScheduler, lauberhorn_user_loop
-from ..rpc.server import linux_udp_worker
+from ..os.nicsched import NicScheduler
 from ..sim.clock import MS
 from .report import fmt_ns, print_table
-from .testbed import build_lauberhorn_testbed, build_linux_testbed
+from .testbed import (
+    build_lauberhorn_testbed,
+    build_linux_testbed,
+    deploy_service,
+)
 
 __all__ = ["DispatchResult", "run_fig5_dispatch"]
 
@@ -83,10 +86,8 @@ def run_fig5_dispatch(n_requests: int = 25, verbose: bool = True):
 
     # Linux dispatch loop.
     bed = build_linux_testbed()
-    service, method = _echo_service(bed)
-    socket = bed.netstack.bind(9000)
-    process = bed.kernel.spawn_process("echo")
-    bed.kernel.spawn_thread(process, linux_udp_worker(socket, bed.registry))
+    service, method = deploy_service(bed, "linux", method_name="echo",
+                                     cost_instructions=HANDLER_COST)
     summary, cost = _measure(bed, service, method, n_requests)
     results.append(DispatchResult(
         "linux", summary.p50, summary.p99, cost.busy_ns_per_request, 0, 0,
@@ -94,14 +95,8 @@ def run_fig5_dispatch(n_requests: int = 25, verbose: bool = True):
 
     # Lauberhorn hot: dedicated user loop armed.
     bed = build_lauberhorn_testbed()
-    service, method = _echo_service(bed)
-    process = bed.kernel.spawn_process("echo")
-    bed.nic.register_service(service, process.pid)
-    endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-    bed.kernel.spawn_thread(
-        process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-        pinned_core=0,
-    )
+    service, method = deploy_service(bed, "lauberhorn", method_name="echo",
+                                     cost_instructions=HANDLER_COST)
     summary, cost = _measure(bed, service, method, n_requests)
     results.append(DispatchResult(
         "lauberhorn-hot", summary.p50, summary.p99,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics.cycles import CycleWindow
+from ..metrics.cycles import CycleWindow, PerRequestCost
 from ..metrics.histogram import LatencyRecorder
 from ..sim.clock import MS
 from .report import fmt_ns, print_table
@@ -42,7 +42,13 @@ class StackResult:
     busy_ns_per_request: float
 
 
-def _measure(bed, service, method, n_requests: int) -> StackResult:
+def _measure(bed, service, method,
+             n_requests: int) -> tuple[LatencyRecorder, PerRequestCost]:
+    """Warmup call, then ``n_requests`` pipelined; the E11/E20 driver.
+
+    Returns the pipelined RTTs (in completion order) and the server's
+    per-request CPU cost over them.
+    """
     client = bed.clients[0]
     recorder = LatencyRecorder()
     window = CycleWindow(bed.machine)
@@ -66,8 +72,7 @@ def _measure(bed, service, method, n_requests: int) -> StackResult:
 
     bed.sim.process(driver())
     bed.machine.run(until=2000 * MS)
-    summary = recorder.summary()
-    return summary, state["cost"]
+    return recorder, state["cost"]
 
 
 def _build_stack(stack: str):
@@ -91,7 +96,8 @@ STACKS = ("linux", "snap", "bypass", "lauberhorn")
 def measure_stack(stack: str, n_requests: int = 25) -> StackResult:
     """One design-space point: one architecture, the same echo workload."""
     bed, service, method = _build_stack(stack)
-    summary, cost = _measure(bed, service, method, n_requests)
+    recorder, cost = _measure(bed, service, method, n_requests)
+    summary = recorder.summary()
     return StackResult(stack, summary.p50, summary.p99,
                        cost.busy_ns_per_request)
 

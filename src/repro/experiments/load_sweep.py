@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 from ..nic.lauberhorn import EndpointKind
 from ..os.nicsched import lauberhorn_user_loop
-from ..rpc.server import bypass_worker, linux_udp_worker
-from ..sim.clock import MS
+from ..rpc.server import linux_udp_worker
 from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
 from .report import fmt_ns, print_table
 from .testbed import (
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
+    deploy_service,
 )
 
 __all__ = ["LoadPoint", "measure_load_point", "render_load_sweep"]
@@ -51,16 +51,9 @@ def _build(stack: str):
         return bed, service, method
     if stack == "bypass":
         bed = build_bypass_testbed()
-        service = bed.registry.create_service("s", udp_port=9000)
-        method = bed.registry.add_method(service, "m", lambda a: [1],
+        service, method = deploy_service(bed, "bypass", lambda a: [1],
+                                         name="s",
                                          cost_instructions=HANDLER_COST)
-        bed.nic.steer_port(9000, 0)
-        process = bed.kernel.spawn_process("pmd")
-        bed.kernel.spawn_thread(
-            process, bypass_worker(bed.nic, bed.nic.queues[0],
-                                   bed.user_netctx, bed.registry),
-            pinned_core=0,
-        )
         return bed, service, method
     if stack == "lauberhorn":
         bed = build_lauberhorn_testbed()

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from ..metrics.histogram import nearest_rank
 from ..obs.export import chrome_trace, stage_attribution
 from ..obs.instrument import arm_testbed, bind_testbed_metrics
-from ..sim.clock import MS
-from .four_stacks import STACKS, _build_stack
+from .four_stacks import _build_stack, _measure
 from .report import fmt_ns, print_table
 
 __all__ = ["ObsResult", "STAGE_ORDER", "measure_obs_stack",
@@ -78,42 +77,18 @@ class ObsResult:
         return 100.0 * (self.host_s_armed / self.host_s_unarmed - 1.0)
 
 
-def _drive(bed, service, method, n_requests: int) -> list[float]:
-    """The E11 echo workload: warmup call + ``n_requests`` pipelined."""
-    client = bed.clients[0]
-    rtts: list[float] = []
-
-    def driver():
-        yield bed.sim.timeout(10_000)
-        yield from client.call(args=[0], **bed.call_args(service, method))
-        events = [
-            client.send_request(
-                bed.server_mac, bed.server_ip, service.udp_port,
-                service.service_id, method.method_id, [i],
-            )
-            for i in range(n_requests)
-        ]
-        for event in events:
-            result = yield event
-            rtts.append(result.rtt_ns)
-
-    bed.sim.process(driver())
-    bed.machine.run(until=2000 * MS)
-    return rtts
-
-
 def measure_obs_stack(stack: str, n_requests: int = 25) -> ObsResult:
     """Run one stack unarmed then armed; compare and attribute."""
     started = time.perf_counter()
     bed, service, method = _build_stack(stack)
-    base_rtts = _drive(bed, service, method, n_requests)
+    base_rtts = _measure(bed, service, method, n_requests)[0].samples
     host_s_unarmed = time.perf_counter() - started
 
     started = time.perf_counter()
     bed, service, method = _build_stack(stack)
     recorder = arm_testbed(bed)
     registry = bind_testbed_metrics(bed, prefix=stack)
-    armed_rtts = _drive(bed, service, method, n_requests)
+    armed_rtts = _measure(bed, service, method, n_requests)[0].samples
     host_s_armed = time.perf_counter() - started
 
     return ObsResult(

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import NicScheduler, lauberhorn_user_loop
+from ..os.nicsched import NicScheduler
 from ..sim.clock import MS
 from .report import fmt_ns, print_table
-from .testbed import build_lauberhorn_testbed
+from .testbed import build_lauberhorn_testbed, deploy_service
 
 __all__ = ["TelemetryBreakdown", "run_telemetry_breakdown"]
 
@@ -33,16 +32,7 @@ class TelemetryBreakdown:
 def run_telemetry_breakdown(n_requests: int = 20, verbose: bool = True):
     bed = build_lauberhorn_testbed()
 
-    hot = bed.registry.create_service("hot", udp_port=9000)
-    hot_m = bed.registry.add_method(hot, "m", lambda a: list(a),
-                                    cost_instructions=500)
-    hot_proc = bed.kernel.spawn_process("hot")
-    bed.nic.register_service(hot, hot_proc.pid)
-    hot_ep = bed.nic.create_endpoint(EndpointKind.USER, service=hot)
-    bed.kernel.spawn_thread(
-        hot_proc, lauberhorn_user_loop(bed.nic, hot_ep, bed.registry),
-        pinned_core=0,
-    )
+    hot, hot_m = deploy_service(bed, "lauberhorn", name="hot")
 
     cold = bed.registry.create_service("cold", udp_port=9001)
     cold_m = bed.registry.add_method(cold, "m", lambda a: list(a),

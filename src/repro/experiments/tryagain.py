@@ -22,15 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..metrics.energy import PowerParams, core_energy
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import lauberhorn_user_loop
-from ..rpc.server import bypass_worker, linux_udp_worker
+from ..rpc.server import linux_udp_worker
 from ..sim.clock import MS, SEC, US
 from .report import fmt_ns, print_table
 from .testbed import (
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
+    deploy_service,
 )
 
 __all__ = ["EnergyRow", "TimeoutRow", "run_tryagain_energy",
@@ -111,31 +110,13 @@ def run_tryagain_energy(
 
     # Bypass: worker spins on core 0.
     bed = build_bypass_testbed()
-    service = bed.registry.create_service("echo", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: list(a),
-                                     cost_instructions=300)
-    process = bed.kernel.spawn_process("echo")
-    bed.kernel.spawn_thread(
-        process,
-        bypass_worker(bed.nic, bed.nic.queues[0], bed.user_netctx, bed.registry),
-        pinned_core=0,
-    )
-    bed.nic.steer_port(9000, 0)
+    service, method = deploy_service(bed, "bypass", cost_instructions=300)
     served = _serve_trickle(bed, service, method, gap_ns, n_requests)
     finish("bypass (spin)", bed, served)
 
     # Lauberhorn: worker stalls in a blocked load on core 0.
     bed = build_lauberhorn_testbed()
-    service = bed.registry.create_service("echo", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: list(a),
-                                     cost_instructions=300)
-    process = bed.kernel.spawn_process("echo")
-    bed.nic.register_service(service, process.pid)
-    endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-    bed.kernel.spawn_thread(
-        process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-        pinned_core=0,
-    )
+    service, method = deploy_service(bed, "lauberhorn", cost_instructions=300)
     served = _serve_trickle(bed, service, method, gap_ns, n_requests)
     finish("lauberhorn (blocked load)", bed, served)
 
@@ -164,15 +145,7 @@ def run_timeout_ablation(
     rows: list[TimeoutRow] = []
     for timeout_ns in timeouts_ns:
         bed = build_lauberhorn_testbed(tryagain_timeout_ns=timeout_ns)
-        service = bed.registry.create_service("idle", udp_port=9000)
-        bed.registry.add_method(service, "m", lambda a: list(a))
-        process = bed.kernel.spawn_process("idle")
-        bed.nic.register_service(service, process.pid)
-        endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
-        bed.kernel.spawn_thread(
-            process, lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-            pinned_core=0,
-        )
+        deploy_service(bed, "lauberhorn", name="idle", cost_instructions=1000)
         bed.machine.run(until=idle_ns)
         seconds = idle_ns / SEC
         rows.append(TimeoutRow(

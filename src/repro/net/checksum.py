@@ -22,11 +22,4 @@ def internet_checksum(data: bytes) -> int:
 
 def verify_checksum(data: bytes) -> bool:
     """True when ``data`` (including its checksum field) sums to zero."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total == 0xFFFF
+    return internet_checksum(data) == 0

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ...hw.coherence import FillResponse, HomeDevice
 from ...hw.machine import Machine
@@ -128,8 +128,6 @@ class LauberhornNic(BaseNic, HomeDevice):
         self._cont_service = ServiceDef(
             service_id=0, name="<continuation>", udp_port=0
         )
-        #: OS hooks called when a request has no runnable target
-        self.attention_hooks: list[Callable[[int, int], None]] = []
         #: optional multi-tenant isolation state (:mod:`repro.tenancy`);
         #: None means the exact historical single-tenant behaviour
         self.tenants = None
@@ -298,11 +296,6 @@ class LauberhornNic(BaseNic, HomeDevice):
         self._continuations.pop(tag, None)
         endpoint.inflight = None
         self._continuation_pool.append(endpoint)
-
-    def add_attention_hook(self, hook: Callable[[int, int], None]) -> None:
-        """``hook(service_id, backlog_depth)`` fires when a request has
-        no armed end-point and its process is not running."""
-        self.attention_hooks.append(hook)
 
     # -- kernel-pushed scheduling state ------------------------------------------
 
@@ -930,8 +923,6 @@ class LauberhornNic(BaseNic, HomeDevice):
             load.dropped += 1
             self.lstats.dropped_backlog_full += 1
             return
-        for hook in self.attention_hooks:
-            hook(service_id, load.backlog_now)
         if self.preempt_on_backlog:
             self._preempt_a_victim(service_id)
 

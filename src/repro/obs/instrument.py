@@ -31,8 +31,7 @@ def arm_testbed(bed, recorder: Optional[SpanRecorder] = None) -> SpanRecorder:
     """
     if _is_fleet(bed):
         if recorder is None:
-            recorder = SpanRecorder(bed.sim,
-                                    tracer=bed.hosts[0].machine.tracer)
+            recorder = SpanRecorder(bed.sim)
         for client in bed.clients:
             client.obs = recorder
         for host in bed.hosts:
@@ -44,7 +43,7 @@ def arm_testbed(bed, recorder: Optional[SpanRecorder] = None) -> SpanRecorder:
                 host.netstack.obs = recorder
         return recorder
     if recorder is None:
-        recorder = SpanRecorder(bed.sim, tracer=bed.machine.tracer)
+        recorder = SpanRecorder(bed.sim)
     for client in bed.clients:
         client.obs = recorder
     bed.nic.obs = recorder

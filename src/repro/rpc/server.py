@@ -11,20 +11,17 @@ in :mod:`repro.os.nicsched`, since it is entangled with scheduling):
   unmarshal, handler, marshal, PMD transmit.  No kernel involvement
   after setup.
 
-Both bodies charge every step explicitly and emit ``rxstep`` trace
-spans so experiment E2 can attribute cycles to the paper's Section 2
-steps.
+Both bodies charge every step explicitly, so experiment E2 can read
+per-request software cost off the core counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..net.headers import HeaderError, MacAddress
 from ..net.packet import Frame, build_udp_frame, parse_udp_frame
 from ..os import ops
-from ..sim.trace import Tracer
 from .marshal import (
     MarshalError,
     count_fields,
@@ -96,17 +93,10 @@ def _execute_rpc(registry: ServiceRegistry, message: RpcMessage):
     return method, args, result_payload, unmarshal_cost, handler_cost, marshal_cost
 
 
-def linux_udp_worker(
-    socket,
-    registry: ServiceRegistry,
-    tracer: Optional[Tracer] = None,
-    max_requests: Optional[int] = None,
-):
+def linux_udp_worker(socket, registry: ServiceRegistry):
     """Thread body: the classic kernel-socket RPC server loop."""
-    served = 0
-    while max_requests is None or served < max_requests:
+    while True:
         datagram = yield ops.RecvFromSocket(socket)
-        span = tracer.span("rxstep", "app", stack="linux") if tracer else None
         try:
             message = RpcMessage.unpack(datagram.payload)
         except RpcError:
@@ -137,10 +127,6 @@ def linux_udp_worker(
             payload=response.pack(),
             meta=dict(datagram.meta),
         )
-        if span:
-            span.close(request_id=message.header.request_id)
-        served += 1
-    return served
 
 
 def bypass_worker(
@@ -148,8 +134,6 @@ def bypass_worker(
     queue,
     netctx: UserNetContext,
     registry: ServiceRegistry,
-    tracer: Optional[Tracer] = None,
-    max_requests: Optional[int] = None,
 ):
     """Thread body: the kernel-bypass (PMD) RPC server loop.
 
@@ -158,13 +142,11 @@ def bypass_worker(
     deployment model (and limitation) of bypass stacks.
     """
     multi_queue = isinstance(queue, (list, tuple))
-    served = 0
-    while max_requests is None or served < max_requests:
+    while True:
         if multi_queue:
             frame = yield nic.poll_many_op(queue)
         else:
             frame = yield nic.poll_op(queue)
-        span = tracer.span("rxstep", "app", stack="bypass") if tracer else None
         yield ops.Exec(USER_PARSE_INSTRUCTIONS)
         try:
             parsed = parse_udp_frame(frame)
@@ -203,7 +185,3 @@ def bypass_worker(
             return None
 
         yield ops.Call(_tx)
-        if span:
-            span.close(request_id=message.header.request_id)
-        served += 1
-    return served

@@ -191,12 +191,11 @@ def snap_engine_body(nic, queues, engine: SnapEngine):
         )
 
 
-def snap_worker_body(engine: SnapEngine, service, max_requests=None):
+def snap_worker_body(engine: SnapEngine, service):
     """Thread body for one service's application worker: block on the
     channel, run the handler, hand the response to the engine."""
     channel = engine.channel_for(service.service_id)
-    served = 0
-    while max_requests is None or served < max_requests:
+    while True:
         work = yield ops.Block(channel.pop_event())
         yield ops.Exec(CHANNEL_OP_INSTRUCTIONS)
         message = work.message
@@ -233,5 +232,3 @@ def snap_worker_body(engine: SnapEngine, service, max_requests=None):
         )
         yield ops.Exec(CHANNEL_OP_INSTRUCTIONS)
         engine.push_response(frame)
-        served += 1
-    return served
