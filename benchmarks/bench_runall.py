@@ -11,6 +11,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_runall.py                 # full
     PYTHONPATH=src python benchmarks/bench_runall.py --quick         # smoke
+    PYTHONPATH=src python benchmarks/bench_runall.py e24 e25 --jobs 2  # a selection
     PYTHONPATH=src python benchmarks/bench_runall.py --out BENCH_runall.json
 
 The JSON report records host core counts alongside the timings: the
@@ -95,6 +96,8 @@ def bench(selected, jobs: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("selection", nargs="*", metavar="EXPERIMENT",
+                        help="experiments or job ids to time (default: all)")
     parser.add_argument("--jobs", type=int, default=4,
                         help="worker count for the parallel runs")
     parser.add_argument("--quick", action="store_true",
@@ -102,7 +105,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the JSON report here")
     args = parser.parse_args(argv)
 
-    selected = QUICK_SELECTION if args.quick else list(EXPERIMENT_SPECS)
+    if args.quick:
+        selected = QUICK_SELECTION
+    else:
+        selected = [name.lower() for name in args.selection] or list(
+            EXPERIMENT_SPECS)
+    unknown = [name for name in selected
+               if name.partition("/")[0] not in EXPERIMENT_SPECS]
+    if unknown:
+        parser.error(f"unknown experiments: {', '.join(unknown)}")
     report = bench(selected, jobs=max(2, args.jobs))
     print(json.dumps(report, indent=2))
     if args.out:

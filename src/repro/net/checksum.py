@@ -9,14 +9,22 @@ def internet_checksum(data: bytes) -> int:
     """One's-complement sum of 16-bit words, complemented.
 
     Odd-length input is padded with a zero byte, per RFC 1071.
+
+    The sum is one bignum reduction, not a word loop.  Read the buffer
+    as a big-endian integer ``v``; since 2**16 ≡ 1 (mod 0xFFFF), ``v``
+    is congruent to the sum of its 16-bit words, and end-around carry
+    preserves that residue (RFC 1071 §2).  So the folded sum is
+    ``v % 0xFFFF``, with one exception: a nonzero buffer whose residue
+    is 0 (e.g. ``b"\\xff\\xff" * k``) folds to 0xFFFF, one's-complement
+    negative zero, not to 0 (RFC 1624 §3).  Every byte still enters the
+    sum.
     """
     if len(data) % 2:
         data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
+    value = int.from_bytes(data, "big")
+    total = value % 0xFFFF
+    if total == 0 and value:
+        total = 0xFFFF
     return (~total) & 0xFFFF
 
 

@@ -97,13 +97,18 @@ def _state_over(windows, patterns,
     (shared switches, clients, single-host runs) always join.
     """
     samples: dict[str, list[float]] = {}
+    # windows repeat the same metric names: decide each name once
+    joins: dict[str, bool] = {}
     for window in windows:
         for name, value in window.values.items():
-            if _matches(name, patterns):
-                if host is not None:
+            joined = joins.get(name)
+            if joined is None:
+                joined = _matches(name, patterns)
+                if joined and host is not None:
                     owner = metric_host(name)
-                    if owner is not None and owner != host:
-                        continue
+                    joined = owner is None or owner == host
+                joins[name] = joined
+            if joined:
                 samples.setdefault(name, []).append(value)
     return {
         name: {

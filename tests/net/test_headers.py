@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 from repro.net import (
     ETHERTYPE_IPV4,
     EthernetHeader,
+    Frame,
     HeaderError,
     Ipv4Header,
     MacAddress,
     UdpHeader,
+    build_udp_frame,
     internet_checksum,
+    ip_address,
+    parse_udp_frame,
     verify_checksum,
 )
 
@@ -26,6 +30,67 @@ def test_checksum_known_vector():
 
 def test_checksum_zero_data():
     assert internet_checksum(b"\x00" * 10) == 0xFFFF
+
+
+def _word_loop_checksum(data: bytes) -> int:
+    """Reference oracle: the RFC 1071 byte-pair loop, word by word."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+@given(st.binary(max_size=9216))
+def test_checksum_matches_word_loop_oracle(data):
+    assert internet_checksum(data) == _word_loop_checksum(data)
+
+
+@pytest.mark.parametrize("length", range(71))
+def test_checksum_matches_oracle_at_every_short_length(length):
+    data = bytes((7 * i + 3) & 0xFF for i in range(length))
+    assert internet_checksum(data) == _word_loop_checksum(data)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 64, 65, 1500, 9215, 9216])
+@pytest.mark.parametrize("fill", [b"\x00", b"\xff"])
+def test_checksum_matches_oracle_on_uniform_buffers(length, fill):
+    data = fill * length
+    assert internet_checksum(data) == _word_loop_checksum(data)
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 100, 4608])
+def test_checksum_nonzero_buffer_with_zero_residue(words):
+    # b"\xff\xff" * k is nonzero but divisible by 0xFFFF: its folded
+    # sum is 0xFFFF (negative zero), so the checksum is 0, not 0xFFFF.
+    data = b"\xff\xff" * words
+    assert int.from_bytes(data, "big") % 0xFFFF == 0
+    assert internet_checksum(data) == _word_loop_checksum(data) == 0
+
+
+@pytest.mark.parametrize("length", [1, 3, 5, 33, 1001, 6145])
+def test_checksum_matches_oracle_on_odd_lengths(length):
+    data = bytes((31 * i + 17) & 0xFF for i in range(length))
+    assert internet_checksum(data) == _word_loop_checksum(data)
+    assert internet_checksum(data) == internet_checksum(data + b"\x00")
+
+
+def test_jumbo_udp_frame_roundtrip_and_tamper_detection():
+    payload = bytes((13 * i + 5) & 0xFF for i in range(6 * 1024))
+    frame = build_udp_frame(
+        MacAddress(0x02_00_00_00_00_01), MacAddress(0x02_00_00_00_00_02),
+        ip_address("10.0.0.1"), ip_address("10.0.0.2"), 4000, 9000, payload,
+    )
+    parsed = parse_udp_frame(frame)
+    assert parsed.payload == payload
+    assert parsed.udp.checksum != 0
+    tampered = bytearray(frame.data)
+    tampered[-1] ^= 0x01
+    with pytest.raises(HeaderError, match="UDP checksum mismatch"):
+        parse_udp_frame(Frame(bytes(tampered)))
 
 
 @given(st.binary(min_size=0, max_size=200))

@@ -1,16 +1,19 @@
 """Tail forensics: joining spans, windows, and flight events."""
 
+import re
+
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.obs.tail import (
     STATE_PATTERNS,
+    _state_over,
     render_tail_report,
     slow_roots,
     slow_roots_by_group,
     tail_report,
 )
-from repro.obs.timeseries import TimeSeriesSampler
+from repro.obs.timeseries import TimeSeriesSampler, Window
 from repro.sim.engine import Simulator
 
 
@@ -191,3 +194,49 @@ def test_untagged_report_has_no_origin_keys():
     assert "groups" not in report       # byte-identical to historical
     (record,) = report["requests"]
     assert "host" not in record and "tenant" not in record
+
+
+def _brute_force_state(windows, patterns, host):
+    """Reference join: every name re-matched in every window."""
+    samples = {}
+    for window in windows:
+        for name, value in window.values.items():
+            if not any(pattern in name for pattern in patterns):
+                continue
+            match = re.match(r"(host\d+)\.", name)
+            owner = match.group(1) if match else None
+            if host is not None and owner is not None and owner != host:
+                continue
+            samples.setdefault(name, []).append(value)
+    return {
+        name: {"min": min(vs), "mean": sum(vs) / len(vs), "max": max(vs)}
+        for name, vs in sorted(samples.items())
+    }
+
+
+def test_state_join_memo_matches_brute_force():
+    # fleet-namespaced and unscoped names repeat across windows; some
+    # join (runq, backlog, drop), some never do (latency, rx_bytes), and
+    # a name may be absent from some windows
+    names = [
+        "host0.server.runq.depth", "host1.server.runq.depth",
+        "host0.nic.backlog", "host1.nic.rx_bytes", "host0.rpc.latency",
+        "switch.port3.drop", "client.queue", "client.latency",
+        "host1.tenancy.rate_dropped",
+    ]
+    windows = []
+    for index in range(40):
+        values = {
+            name: float((index * 7 + slot * 3) % 11)
+            for slot, name in enumerate(names)
+            if (index + slot) % 4
+        }
+        windows.append(Window(index, index * 100.0, index * 100.0 + 100.0,
+                              values))
+    for host in (None, "host0", "host1"):
+        expected = _brute_force_state(windows, STATE_PATTERNS, host)
+        assert expected  # the scene exercises the join
+        assert _state_over(windows, STATE_PATTERNS, host) == expected
+    assert "host1.server.runq.depth" not in _state_over(
+        windows, STATE_PATTERNS, "host0")
+    assert "client.queue" in _state_over(windows, STATE_PATTERNS, "host1")
