@@ -14,8 +14,7 @@ cores back.
 Run:  python examples/autoscaling.py
 """
 
-from repro.experiments import build_lauberhorn_testbed
-from repro.os.nicsched import NicScheduler
+from repro.experiments import build_lauberhorn_testbed, serve
 from repro.sim import MS
 from repro.workloads.generator import OpenLoopGenerator, ServiceMix, Target
 
@@ -27,10 +26,9 @@ def main() -> None:
         service, "resize", lambda args: ["done"],
         cost_instructions=20_000,  # ~12 us of work per request
     )
-    process = bed.kernel.spawn_process("resize")
-    bed.nic.register_service(service, process.pid)
-    scheduler = NicScheduler(bed.kernel, bed.nic, bed.registry,
-                             n_dispatchers=1, promote=False)
+    # One unpinned kernel dispatcher to start; no promotion, so every
+    # request is kernel-dispatched and load shows as dispatcher demand.
+    scheduler = serve(bed, "lauberhorn", [service], [None], promote=False)
     scheduler.start_autoscaler(interval_ns=0.2 * MS, min_dispatchers=1,
                                max_dispatchers=6)
 

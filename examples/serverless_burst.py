@@ -15,9 +15,7 @@ latency.
 Run:  python examples/serverless_burst.py
 """
 
-from repro.experiments import build_lauberhorn_testbed
-from repro.nic.lauberhorn import EndpointKind
-from repro.os.nicsched import NicScheduler
+from repro.experiments import build_lauberhorn_testbed, serve
 from repro.sim import MS
 
 
@@ -31,13 +29,10 @@ def main() -> None:
         handler=lambda args: [f"thumb({args[0]})"],
         cost_instructions=5_000,  # some real work per invocation
     )
-    process = bed.kernel.spawn_process("thumbnailer")
-    bed.nic.register_service(function, process.pid)
-    # The function has an end-point but *no thread arming it*: it is
-    # cold until the NIC-driven scheduler brings it up.
-    bed.nic.create_endpoint(EndpointKind.USER, service=function)
-    NicScheduler(bed.kernel, bed.nic, bed.registry, n_dispatchers=2,
-                 promote=True)
+    # The function gets an end-point but *no thread arming it*: it is
+    # cold until one of the two (unpinned) NIC-driven dispatchers
+    # brings it up and promotes into its user loop.
+    serve(bed, "lauberhorn", [function], [None, None], promote=True)
 
     client = bed.clients[0]
     latencies = []

@@ -18,13 +18,15 @@ kernels, NICs, and worker loops by hand::
 One ``SimulatedCluster`` is one server machine (with the chosen stack),
 a switch, and a client node.  Services are registered with the
 :meth:`service` decorator; :meth:`start` spawns the per-stack workers
-(user loops + NIC-driven dispatchers for Lauberhorn, socket workers for
-Linux, pinned PMD workers for bypass).  :meth:`call` runs the simulator
+through the testbed's serving recipes (user loops + NIC-driven
+dispatchers for Lauberhorn, socket workers for Linux, pinned PMD
+workers for bypass).  :meth:`call` runs the simulator
 until the response arrives.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -33,10 +35,9 @@ from .experiments.testbed import (
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
+    serve,
+    serve_dedicated,
 )
-from .nic.lauberhorn import EndpointKind
-from .os.nicsched import NicScheduler, lauberhorn_user_loop
-from .rpc.server import bypass_worker, linux_udp_worker
 from .rpc.service import MethodDef, ServiceDef
 from .sim.clock import MS
 from .workloads.client import RpcResult
@@ -81,7 +82,6 @@ class SimulatedCluster:
         self.testbed: Testbed = builders[stack](seed=seed, **testbed_kwargs)
         self._services: dict[str, _ServiceSpec] = {}
         self._next_port = 9000
-        self._next_core = 0
         self._started = False
 
     # -- registration ---------------------------------------------------------
@@ -131,65 +131,29 @@ class SimulatedCluster:
         if not self._services:
             raise ClusterError("no services registered")
         self._started = True
-        starter = getattr(self, f"_start_{self.stack}")
-        starter()
-
-    def _claim_core(self, spec: _ServiceSpec) -> int:
-        if spec.dedicated_core is not None:
-            return spec.dedicated_core
-        core = self._next_core
-        self._next_core = (self._next_core + 1) % self.testbed.machine.n_cores
-        return core
-
-    def _start_lauberhorn(self) -> None:
         bed = self.testbed
-        for spec in self._services.values():
-            process = bed.kernel.spawn_process(spec.service.name)
-            process.service = spec.service
-            bed.nic.register_service(spec.service, process.pid)
-            endpoint = bed.nic.create_endpoint(
-                EndpointKind.USER, service=spec.service
-            )
-            if spec.dedicated_core is not None:
-                bed.kernel.spawn_thread(
-                    process,
-                    lauberhorn_user_loop(bed.nic, endpoint, bed.registry),
-                    name=f"{spec.service.name}-loop",
-                    pinned_core=spec.dedicated_core,
-                )
-        # Dispatchers pick up every service without a dedicated loop.
-        self.scheduler = NicScheduler(
-            bed.kernel, bed.nic, bed.registry,
-            n_dispatchers=self.n_dispatchers, promote=True,
-        )
-
-    def _start_linux(self) -> None:
-        bed = self.testbed
-        for spec in self._services.values():
-            socket = bed.netstack.bind(spec.service.udp_port)
-            process = bed.kernel.spawn_process(spec.service.name)
-            process.service = spec.service
-            bed.kernel.spawn_thread(
-                process,
-                linux_udp_worker(socket, bed.registry),
-                name=f"{spec.service.name}-worker",
-                pinned_core=spec.dedicated_core,
-            )
-
-    def _start_bypass(self) -> None:
-        bed = self.testbed
-        for index, spec in enumerate(self._services.values()):
-            queue_index = index % len(bed.nic.queues)
-            bed.nic.steer_port(spec.service.udp_port, queue_index)
-            process = bed.kernel.spawn_process(spec.service.name)
-            process.service = spec.service
-            bed.kernel.spawn_thread(
-                process,
-                bypass_worker(bed.nic, bed.nic.queues[queue_index],
-                              bed.user_netctx, bed.registry),
-                name=f"{spec.service.name}-pmd",
-                pinned_core=self._claim_core(spec),
-            )
+        specs = list(self._services.values())
+        if self.stack == "lauberhorn":
+            # A dedicated service gets its own armed user loop; the
+            # dispatchers pick up every other service.
+            pooled = []
+            for spec in specs:
+                if spec.dedicated_core is None:
+                    pooled.append(spec.service)
+                else:
+                    serve_dedicated(bed, "lauberhorn", spec.service,
+                                    core=spec.dedicated_core)
+            self.scheduler = serve(bed, "lauberhorn", pooled,
+                                   [None] * self.n_dispatchers)
+            return
+        cores = [spec.dedicated_core for spec in specs]
+        if self.stack == "bypass":
+            # A PMD worker spins, so each one owns a core: services
+            # without a dedicated core take the next one round-robin.
+            free = itertools.count()
+            cores = [core if core is not None
+                     else next(free) % bed.machine.n_cores for core in cores]
+        serve(bed, self.stack, [spec.service for spec in specs], cores)
 
     # -- driving -----------------------------------------------------------------
 

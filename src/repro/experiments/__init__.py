@@ -13,6 +13,7 @@ from .testbed import (
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
+    serve,
 )
 
 __all__ = [
@@ -22,4 +23,5 @@ __all__ = [
     "build_bypass_testbed",
     "build_lauberhorn_testbed",
     "build_linux_testbed",
+    "serve",
 ]

@@ -29,17 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import NicScheduler
-from ..rpc.server import bypass_worker, linux_udp_worker
+from ..rpc.server import bypass_worker
 from ..sim.clock import MS
 from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
 from ..workloads.traces import HotSetSchedule
 from .report import fmt_ns, print_table
 from .testbed import (
+    add_service,
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
+    serve,
 )
 
 __all__ = ["MixResult", "measure_mix_point", "render_dynamic_mix",
@@ -62,11 +62,9 @@ class MixResult:
 def _make_services(bed, n_services: int):
     targets = []
     for index in range(n_services):
-        service = bed.registry.create_service(
-            f"svc{index}", udp_port=BASE_PORT + index
-        )
-        method = bed.registry.add_method(
-            service, "work", lambda args: [args[0]],
+        service, method = add_service(
+            bed, lambda args: [args[0]], name=f"svc{index}",
+            udp_port=BASE_PORT + index, method_name="work",
             cost_instructions=HANDLER_COST,
         )
         targets.append(Target(service=service, method=method,
@@ -115,14 +113,7 @@ def _build_stack(stack: str, n_services: int, n_serving: int):
     if stack == "linux":
         bed = build_linux_testbed(n_queues=n_serving)
         targets = _make_services(bed, n_services)
-        for index, target in enumerate(targets):
-            socket = bed.netstack.bind(target.service.udp_port)
-            process = bed.kernel.spawn_process(f"svc{index}")
-            bed.kernel.spawn_thread(
-                process,
-                linux_udp_worker(socket, bed.registry),
-                pinned_core=index % n_serving,
-            )
+        serve(bed, "linux", [t.service for t in targets], range(n_serving))
         return bed, targets
     if stack == "bypass":
         bed = build_bypass_testbed(n_queues=n_services)
@@ -144,15 +135,8 @@ def _build_stack(stack: str, n_services: int, n_serving: int):
     if stack == "lauberhorn":
         bed = build_lauberhorn_testbed()
         targets = _make_services(bed, n_services)
-        for index, target in enumerate(targets):
-            process = bed.kernel.spawn_process(f"svc{index}")
-            bed.nic.register_service(target.service, process.pid)
-            bed.nic.create_endpoint(EndpointKind.USER, service=target.service)
-        NicScheduler(
-            bed.kernel, bed.nic, bed.registry,
-            n_dispatchers=n_serving, promote=True,
-            dispatcher_cores=list(range(n_serving)),
-        )
+        serve(bed, "lauberhorn", [t.service for t in targets],
+              range(n_serving))
         return bed, targets
     raise ValueError(f"unknown stack {stack!r}")
 

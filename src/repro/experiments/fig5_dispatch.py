@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 from ..metrics.cycles import CycleWindow
 from ..metrics.histogram import LatencyRecorder
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import NicScheduler
 from ..sim.clock import MS
 from .report import fmt_ns, print_table
 from .testbed import (
+    add_service,
     build_lauberhorn_testbed,
     build_linux_testbed,
     deploy_service,
+    serve,
 )
 
 __all__ = ["DispatchResult", "run_fig5_dispatch"]
@@ -47,14 +47,6 @@ class DispatchResult:
     busy_ns_per_request: float
     kernel_dispatches: int
     fast_dispatches: int
-
-
-def _echo_service(bed, port=9000):
-    service = bed.registry.create_service("echo", udp_port=port)
-    method = bed.registry.add_method(
-        service, "echo", lambda args: list(args), cost_instructions=HANDLER_COST
-    )
-    return service, method
 
 
 def _measure(bed, service, method, n_requests: int):
@@ -106,11 +98,9 @@ def run_fig5_dispatch(n_requests: int = 25, verbose: bool = True):
 
     # Lauberhorn kernel dispatch (cold every request: no promotion).
     bed = build_lauberhorn_testbed()
-    service, method = _echo_service(bed)
-    process = bed.kernel.spawn_process("echo")
-    bed.nic.register_service(service, process.pid)
-    NicScheduler(bed.kernel, bed.nic, bed.registry, n_dispatchers=1,
-                 promote=False)
+    service, method = add_service(bed, name="echo", method_name="echo",
+                                  cost_instructions=HANDLER_COST)
+    serve(bed, "lauberhorn", [service], [None], promote=False)
     summary, cost = _measure(bed, service, method, n_requests)
     results.append(DispatchResult(
         "lauberhorn-kernel", summary.p50, summary.p99,
@@ -120,12 +110,9 @@ def run_fig5_dispatch(n_requests: int = 25, verbose: bool = True):
 
     # Lauberhorn with promotion: first request cold, rest hot.
     bed = build_lauberhorn_testbed()
-    service, method = _echo_service(bed)
-    process = bed.kernel.spawn_process("echo")
-    bed.nic.register_service(service, process.pid)
-    bed.nic.create_endpoint(EndpointKind.USER, service=service)
-    NicScheduler(bed.kernel, bed.nic, bed.registry, n_dispatchers=1,
-                 promote=True)
+    service, method = add_service(bed, name="echo", method_name="echo",
+                                  cost_instructions=HANDLER_COST)
+    serve(bed, "lauberhorn", [service], [None])
     summary, cost = _measure(bed, service, method, n_requests)
     results.append(DispatchResult(
         "lauberhorn-promote", summary.p50, summary.p99,

@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 from ..nic.lauberhorn import EndpointKind
 from ..os.nicsched import lauberhorn_user_loop
-from ..rpc.server import linux_udp_worker
 from ..workloads.generator import OpenLoopGenerator, ServiceMix, Target
 from .report import fmt_ns, print_table
 from .testbed import (
+    add_service,
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
     deploy_service,
+    serve,
 )
 
 __all__ = ["LoadPoint", "measure_load_point", "render_load_sweep"]
@@ -40,13 +41,9 @@ class LoadPoint:
 def _build(stack: str):
     if stack == "linux":
         bed = build_linux_testbed()
-        service = bed.registry.create_service("s", udp_port=9000)
-        method = bed.registry.add_method(service, "m", lambda a: [1],
-                                         cost_instructions=HANDLER_COST)
-        socket = bed.netstack.bind(9000)
-        process = bed.kernel.spawn_process("srv")
-        bed.kernel.spawn_thread(process, linux_udp_worker(socket, bed.registry),
-                                pinned_core=0)
+        service, method = add_service(bed, lambda a: [1], name="s",
+                                      cost_instructions=HANDLER_COST)
+        serve(bed, "linux", [service], [0])
         bed.nic.set_queue_core(0, 1)  # IRQs off the worker's core
         return bed, service, method
     if stack == "bypass":
@@ -57,9 +54,8 @@ def _build(stack: str):
         return bed, service, method
     if stack == "lauberhorn":
         bed = build_lauberhorn_testbed()
-        service = bed.registry.create_service("s", udp_port=9000)
-        method = bed.registry.add_method(service, "m", lambda a: [1],
-                                         cost_instructions=HANDLER_COST)
+        service, method = add_service(bed, lambda a: [1], name="s",
+                                      cost_instructions=HANDLER_COST)
         process = bed.kernel.spawn_process("srv")
         bed.nic.register_service(service, process.pid)
         endpoint = bed.nic.create_endpoint(

@@ -22,14 +22,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..nic.lauberhorn import EndpointKind
-from ..os.nicsched import NicScheduler
-from ..rpc.server import linux_udp_worker
 from ..sim.clock import MS
 from ..workloads.generator import Target
 from ..workloads.trace_replay import TraceReplayer, generate_trace
 from .report import fmt_ns, print_table
-from .testbed import build_lauberhorn_testbed, build_linux_testbed
+from .testbed import (
+    add_service,
+    build_lauberhorn_testbed,
+    build_linux_testbed,
+    serve,
+)
 
 __all__ = ["ServerlessResult", "measure_serverless_stack",
            "render_serverless"]
@@ -50,17 +52,12 @@ class ServerlessResult:
 
 
 def _targets(bed, n_functions: int) -> list[Target]:
-    targets = []
-    for index in range(n_functions):
-        service = bed.registry.create_service(
-            f"fn{index}", udp_port=BASE_PORT + index
-        )
-        method = bed.registry.add_method(
-            service, "invoke", lambda args: ["ok"],
-            cost_instructions=HANDLER_COST,
-        )
-        targets.append(Target(service, method))
-    return targets
+    return [
+        Target(*add_service(bed, lambda args: ["ok"], name=f"fn{index}",
+                            udp_port=BASE_PORT + index, method_name="invoke",
+                            cost_instructions=HANDLER_COST))
+        for index in range(n_functions)
+    ]
 
 
 def _replay(bed, targets, trace, n_serving: int):
@@ -98,13 +95,7 @@ def measure_serverless_stack(
     if stack == "linux":
         bed = build_linux_testbed(n_queues=n_serving)
         targets = _targets(bed, n_functions)
-        for index, target in enumerate(targets):
-            socket = bed.netstack.bind(target.service.udp_port)
-            process = bed.kernel.spawn_process(f"fn{index}")
-            bed.kernel.spawn_thread(
-                process, linux_udp_worker(socket, bed.registry),
-                pinned_core=index % n_serving,
-            )
+        serve(bed, "linux", [t.service for t in targets], range(n_serving))
         replayer, summary, per_invocation = _replay(
             bed, targets, trace, n_serving
         )
@@ -115,15 +106,8 @@ def measure_serverless_stack(
     if stack == "lauberhorn":
         bed = build_lauberhorn_testbed()
         targets = _targets(bed, n_functions)
-        for index, target in enumerate(targets):
-            process = bed.kernel.spawn_process(f"fn{index}")
-            bed.nic.register_service(target.service, process.pid)
-            bed.nic.create_endpoint(EndpointKind.USER, service=target.service)
-        NicScheduler(
-            bed.kernel, bed.nic, bed.registry,
-            n_dispatchers=n_serving, promote=True,
-            dispatcher_cores=list(range(n_serving)),
-        )
+        serve(bed, "lauberhorn", [t.service for t in targets],
+              range(n_serving))
         replayer, summary, per_invocation = _replay(
             bed, targets, trace, n_serving
         )

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..os.nicsched import NicScheduler
 from ..sim.clock import MS
 from .report import fmt_ns, print_table
-from .testbed import build_lauberhorn_testbed, deploy_service
+from .testbed import (
+    add_service,
+    build_lauberhorn_testbed,
+    deploy_service,
+    serve,
+)
 
 __all__ = ["TelemetryBreakdown", "run_telemetry_breakdown"]
 
@@ -34,13 +38,8 @@ def run_telemetry_breakdown(n_requests: int = 20, verbose: bool = True):
 
     hot, hot_m = deploy_service(bed, "lauberhorn", name="hot")
 
-    cold = bed.registry.create_service("cold", udp_port=9001)
-    cold_m = bed.registry.add_method(cold, "m", lambda a: list(a),
-                                     cost_instructions=500)
-    cold_proc = bed.kernel.spawn_process("cold")
-    bed.nic.register_service(cold, cold_proc.pid)
-    NicScheduler(bed.kernel, bed.nic, bed.registry, n_dispatchers=1,
-                 promote=False)
+    cold, cold_m = add_service(bed, name="cold", udp_port=9001)
+    serve(bed, "lauberhorn", [cold], [None], promote=False)
 
     client = bed.clients[0]
 

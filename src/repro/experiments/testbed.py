@@ -10,7 +10,8 @@ rack-scale builder (:mod:`repro.fleet`): a fleet host is the same
 assembly pointed at a ToR port with its own MAC/IP, which is what
 makes a 1-host fleet byte-identical to these legacy beds.
 :func:`deploy_service` likewise centralises the echo-service
-deployment recipes that used to live in ``four_stacks``.
+deployment recipes that used to live in ``four_stacks``, and
+:func:`serve` the pooled one: many services over a list of cores.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from ..rpc.service import ServiceRegistry
 from ..workloads.client import ClientNode
 
 __all__ = ["Testbed", "build_linux_testbed", "build_bypass_testbed",
-           "build_lauberhorn_testbed", "deploy_service",
-           "SERVER_MAC", "SERVER_IP"]
+           "build_lauberhorn_testbed", "add_service", "serve_dedicated",
+           "deploy_service", "serve", "SERVER_MAC", "SERVER_IP"]
 
 SERVER_MAC = MacAddress.from_string("02:00:00:00:00:01")
 SERVER_IP = ip_address("10.0.0.1")
@@ -296,45 +297,41 @@ _ASSEMBLERS = {
 }
 
 
-def deploy_service(
-    bed: Testbed,
-    stack: str,
-    handler=None,
-    *,
-    name: str = "echo",
-    udp_port: int = 9000,
-    cost_instructions: int = 500,
-    method_name: str = "m",
-    core: int = 0,
-    tenant=None,
-    encrypted: bool = False,
-):
-    """Register a one-method service on ``bed`` and spawn its workers.
-
-    ``stack`` names the serving architecture the bed was assembled for
-    (``linux``/``snap``/``bypass``/``lauberhorn``); ``core`` pins the
-    primary worker (snap uses ``core`` for the engine and ``core + 1``
-    for the worker, mirroring the legacy four-stacks wiring).
-    ``tenant`` (lauberhorn only) binds the service to a tenant of the
-    NIC's attached :class:`repro.tenancy.TenantTable`.  Returns
-    ``(service, method)``.
-    """
+def add_service(bed: Testbed, handler=None, *, name: str = "echo",
+                udp_port: int = 9000, cost_instructions: int = 500,
+                method_name: str = "m", encrypted: bool = False):
+    """Register a one-method service (echo by default) without serving
+    it; returns ``(service, method)``."""
     if handler is None:
-        handler = lambda a: list(a)  # noqa: E731 — echo by default
+        handler = lambda a: list(a)  # noqa: E731
     service = bed.registry.create_service(name, udp_port=udp_port,
                                           encrypted=encrypted)
     method = bed.registry.add_method(service, method_name, handler,
                                      cost_instructions=cost_instructions)
+    return service, method
+
+
+def serve_dedicated(bed: Testbed, stack: str, service, *, core: int = 0,
+                    tenant=None) -> None:
+    """Give one registered service its own dedicated worker.
+
+    ``stack`` names the serving architecture the bed was assembled for
+    (``linux``/``snap``/``bypass``/``lauberhorn``); ``core`` pins the
+    worker, except that the Linux worker is left to the scheduler (snap
+    uses ``core`` for the engine and ``core + 1`` for the worker).
+    ``tenant`` (lauberhorn only) binds the service to a tenant of the
+    NIC's attached :class:`repro.tenancy.TenantTable`.
+    """
     if stack == "linux":
         from ..rpc.server import linux_udp_worker
 
-        socket = bed.netstack.bind(udp_port)
+        socket = bed.netstack.bind(service.udp_port)
         proc = bed.kernel.spawn_process("srv")
         bed.kernel.spawn_thread(proc, linux_udp_worker(socket, bed.registry))
     elif stack == "snap":
         from ..rpc.snap import SnapEngine, snap_engine_body, snap_worker_body
 
-        bed.nic.steer_port(udp_port, 0)
+        bed.nic.steer_port(service.udp_port, 0)
         engine = SnapEngine(bed.sim, bed.registry, bed.user_netctx)
         engine_proc = bed.kernel.spawn_process("snap-engine")
         bed.kernel.spawn_thread(
@@ -350,7 +347,7 @@ def deploy_service(
     elif stack == "bypass":
         from ..rpc.server import bypass_worker
 
-        bed.nic.steer_port(udp_port, 0)
+        bed.nic.steer_port(service.udp_port, 0)
         proc = bed.kernel.spawn_process("pmd")
         bed.kernel.spawn_thread(
             proc,
@@ -371,4 +368,72 @@ def deploy_service(
         )
     else:
         raise ValueError(f"unknown stack {stack!r}")
+
+
+def deploy_service(
+    bed: Testbed,
+    stack: str,
+    handler=None,
+    *,
+    name: str = "echo",
+    udp_port: int = 9000,
+    cost_instructions: int = 500,
+    method_name: str = "m",
+    core: int = 0,
+    tenant=None,
+    encrypted: bool = False,
+):
+    """:func:`add_service` then :func:`serve_dedicated`; returns
+    ``(service, method)``."""
+    service, method = add_service(
+        bed, handler, name=name, udp_port=udp_port,
+        cost_instructions=cost_instructions, method_name=method_name,
+        encrypted=encrypted,
+    )
+    serve_dedicated(bed, stack, service, core=core, tenant=tenant)
     return service, method
+
+
+def serve(bed: Testbed, stack: str, services, cores, *, promote: bool = True):
+    """Serve registered ``services`` from a pool of ``cores``.
+
+    Each service gets a process named after it; ``None`` in ``cores``
+    means unpinned.  ``linux``/``bypass``: one socket/PMD worker per
+    service on ``cores[i % len(cores)]`` (a PMD polls queue
+    ``i % n_queues``).  ``lauberhorn``: no worker threads; each service
+    is registered with the NIC and, only when ``promote`` is set, gets
+    a USER end-point that a dispatcher can promote into.  One kernel
+    dispatcher parks per entry of ``cores``; the returned
+    :class:`~repro.os.nicsched.NicScheduler` turns on the NIC's
+    ``preempt_on_backlog``.
+    """
+    cores = list(cores)
+    if stack == "lauberhorn":
+        from ..nic.lauberhorn import EndpointKind
+        from ..os.nicsched import NicScheduler
+
+        for service in services:
+            proc = bed.kernel.spawn_process(service.name)
+            bed.nic.register_service(service, proc.pid)
+            if promote:
+                bed.nic.create_endpoint(EndpointKind.USER, service=service)
+        return NicScheduler(bed.kernel, bed.nic, bed.registry,
+                            n_dispatchers=len(cores), promote=promote,
+                            dispatcher_cores=cores)
+    if stack not in ("linux", "bypass"):
+        raise ValueError(f"unknown stack {stack!r}")
+    from ..rpc.server import bypass_worker, linux_udp_worker
+
+    for index, service in enumerate(services):
+        if stack == "linux":
+            socket = bed.netstack.bind(service.udp_port)
+            body = linux_udp_worker(socket, bed.registry)
+        else:
+            queue = index % len(bed.nic.queues)
+            bed.nic.steer_port(service.udp_port, queue)
+            body = bypass_worker(bed.nic, bed.nic.queues[queue],
+                                 bed.user_netctx, bed.registry)
+        proc = bed.kernel.spawn_process(service.name)
+        bed.kernel.spawn_thread(proc, body,
+                                pinned_core=cores[index % len(cores)])
+    return None

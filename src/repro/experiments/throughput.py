@@ -15,15 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..rpc.server import linux_udp_worker
 from ..sim.clock import SEC
 from ..workloads.generator import ClosedLoopGenerator, ServiceMix, Target
 from .report import print_table
 from .testbed import (
+    add_service,
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
     deploy_service,
+    serve,
 )
 
 __all__ = ["ThroughputResult", "run_throughput", "run_lauberhorn_scaling"]
@@ -67,13 +68,9 @@ def run_throughput(concurrency: int = 32, n_requests: int = 300,
 
     # Linux: one worker (one serving core at a time).
     bed = build_linux_testbed()
-    service = bed.registry.create_service("s", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: [1],
-                                     cost_instructions=HANDLER_COST)
-    socket = bed.netstack.bind(9000)
-    process = bed.kernel.spawn_process("srv")
-    bed.kernel.spawn_thread(process, linux_udp_worker(socket, bed.registry),
-                            pinned_core=0)
+    service, method = add_service(bed, lambda a: [1], name="s",
+                                  cost_instructions=HANDLER_COST)
+    serve(bed, "linux", [service], [0])
     completed, duration = _drive_closed_loop(
         bed, [Target(service, method)], concurrency, n_requests
     )

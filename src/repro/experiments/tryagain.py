@@ -22,14 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..metrics.energy import PowerParams, core_energy
-from ..rpc.server import linux_udp_worker
 from ..sim.clock import MS, SEC, US
 from .report import fmt_ns, print_table
 from .testbed import (
+    add_service,
     build_bypass_testbed,
     build_lauberhorn_testbed,
     build_linux_testbed,
     deploy_service,
+    serve,
 )
 
 __all__ = ["EnergyRow", "TimeoutRow", "run_tryagain_energy",
@@ -97,13 +98,8 @@ def run_tryagain_energy(
 
     # Linux: worker blocks in recvmsg; core 0 hosts it (pinned).
     bed = build_linux_testbed()
-    service = bed.registry.create_service("echo", udp_port=9000)
-    method = bed.registry.add_method(service, "m", lambda a: list(a),
-                                     cost_instructions=300)
-    socket = bed.netstack.bind(9000)
-    process = bed.kernel.spawn_process("echo")
-    bed.kernel.spawn_thread(process, linux_udp_worker(socket, bed.registry),
-                            pinned_core=0)
+    service, method = add_service(bed, cost_instructions=300)
+    serve(bed, "linux", [service], [0])
     bed.nic.set_queue_core(0, 0)
     served = _serve_trickle(bed, service, method, gap_ns, n_requests)
     finish("linux (interrupt)", bed, served)

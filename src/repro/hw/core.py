@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sim.engine import Simulator
-from ..sim.trace import Tracer
 from .coherence import CoherenceFabric
 from .params import CacheParams, CoreParams
 
@@ -74,14 +73,12 @@ class Core:
         core_params: CoreParams,
         cache_params: CacheParams,
         fabric: Optional[CoherenceFabric] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.id = core_id
         self.params = core_params
         self.cache = cache_params
         self.fabric = fabric
-        self.tracer = tracer
         self.counters = CoreCounters()
         #: label of the software context currently charged (set by the OS)
         self.context: str = "idle"

@@ -1,4 +1,4 @@
-"""Machine assembly: cores + interconnect + coherence + tracing.
+"""Machine assembly: cores + interconnect + coherence.
 
 A :class:`Machine` is the root object every experiment builds: it owns
 the simulator, the cores, the device link, and (when the interconnect
@@ -12,7 +12,6 @@ from typing import Optional
 
 from ..sim.engine import Simulator
 from ..sim.rng import RngRegistry
-from ..sim.trace import Tracer
 from .address import AddressAllocator
 from .coherence import CoherenceFabric
 from .core import Core
@@ -29,14 +28,12 @@ class Machine:
         self,
         params: MachineParams,
         seed: int = 0,
-        trace: bool = True,
         sim: Optional[Simulator] = None,
         faults=None,
     ):
         self.params = params
         # Multi-machine setups share one simulator (one virtual clock).
         self.sim = sim if sim is not None else Simulator()
-        self.tracer = Tracer(self.sim, enabled=trace)
         self.rng = RngRegistry(seed)
         self.alloc = AddressAllocator()
         self.link = DeviceLink(self.sim, params.interconnect)
@@ -52,7 +49,6 @@ class Machine:
                 params.core,
                 params.cache,
                 fabric=self.fabric,
-                tracer=self.tracer,
             )
             for core_id in range(params.n_cores)
         ]

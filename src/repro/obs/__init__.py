@@ -4,11 +4,10 @@ Section 6 of the paper argues the NIC-as-OS design can emit a complete
 per-RPC timeline because the NIC sees every stage of a request's life.
 This package generalises that story to *all* the reproduction's stacks:
 
-* :mod:`repro.obs.spans` — a Dapper-style span layer on top of
-  :class:`repro.sim.trace.Tracer`: every request gets a trace id at the
-  client, and each layer it crosses (client → wire → NIC rx →
-  dispatch/softirq → handler → egress → wire) records child spans with
-  parent links, so one RPC yields a real tree.
+* :mod:`repro.obs.spans` — a Dapper-style span layer: every request
+  gets a trace id at the client, and each layer it crosses (client →
+  wire → NIC rx → dispatch/softirq → handler → egress → wire) records
+  child spans with parent links, so one RPC yields a real tree.
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
   (counters/gauges/histograms with a single ``snapshot()`` dict) that
   absorbs the ad-hoc stats scattered across ``hw/``, ``os/``,

@@ -1,11 +1,10 @@
 """Request-scoped spans with parent links (a Dapper-style tree).
 
-The existing :class:`repro.sim.trace.Tracer` collects flat records; it
-cannot stitch one request's journey across the client, the wire, the
-NIC, and the OS.  A :class:`SpanRecorder` adds exactly that: the client
-opens a *root* span per request and injects its context — a
-``(trace_id, span_id)`` pair — into ``Frame.meta`` under the ``"obs"``
-key; the frame's metadata already flows through every stack (the NIC
+A :class:`SpanRecorder` stitches one request's journey across the
+client, the wire, the NIC, and the OS into one tree: the client opens
+a *root* span per request and injects its context — a ``(trace_id,
+span_id)`` pair — into ``Frame.meta`` under the ``"obs"`` key; the
+frame's metadata already flows through every stack (the NIC
 copies it into descriptors/decoded requests, the kernel into datagrams,
 workers into responses), so each layer can attach child spans without
 any new plumbing of its own.
@@ -21,8 +20,7 @@ Two kinds of span creation:
 Recording never touches the simulator: spans are pure Python
 bookkeeping, so arming a run cannot perturb simulated time.  The
 disabled path is the absence of a recorder — call sites hold
-``self.obs = None`` and guard with one ``is None`` test — mirroring the
-falsy-``Tracer`` convention documented in :mod:`repro.sim.trace`.
+``self.obs = None`` and guard with one ``is None`` test.
 
 Internal timestamps components stash in ``meta`` use keys starting
 with ``"_obs"``; :func:`public_meta` strips them when a frame leaves
@@ -99,15 +97,10 @@ class Span:
 
 
 class SpanRecorder:
-    """Collects span trees for every traced request in a run.
+    """Collects span trees for every traced request in a run."""
 
-    Optionally mirrors finished spans into a :class:`Tracer` as
-    category-``"span"`` records so existing trace queries see them.
-    """
-
-    def __init__(self, sim, tracer=None):
+    def __init__(self, sim):
         self.sim = sim
-        self.tracer = tracer
         self.spans: list[Span] = []
         self._by_id: dict[int, Span] = {}
         self._next_trace_id = 1
@@ -176,17 +169,14 @@ class SpanRecorder:
         slo = self.slo
         if slo is not None and span.parent_id is None:
             slo.observe_root(span)
-        self._mirror(span)
         return span.duration_ns
 
     def record(self, name: str, layer: str, ctx: tuple[int, int],
                start_ns: float, end_ns: float, **fields: Any) -> Span:
         """Record an already-elapsed interval (synthesized span)."""
         trace_id, parent_id = ctx
-        span = self._new(trace_id, parent_id, name, layer, start_ns, end_ns,
+        return self._new(trace_id, parent_id, name, layer, start_ns, end_ns,
                          fields)
-        self._mirror(span)
-        return span
 
     def annotate(self, ctx: tuple[int, int], **fields: Any) -> None:
         """Attach fields to the span addressed by ``ctx``.
@@ -200,16 +190,6 @@ class SpanRecorder:
         span = self._by_id.get(ctx[1])
         if span is not None:
             span.fields.update(fields)
-
-    def _mirror(self, span: Span) -> None:
-        tracer = self.tracer
-        if tracer:
-            tracer.emit(
-                "span", span.name,
-                trace_id=span.trace_id, span_id=span.span_id,
-                parent_id=span.parent_id, layer=span.layer,
-                start_ns=span.start_ns, duration_ns=span.duration_ns,
-            )
 
     # -- queries --------------------------------------------------------------
 

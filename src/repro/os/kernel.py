@@ -74,7 +74,6 @@ class Kernel:
         self.timeslice_ns = timeslice_ns
         self.scheduler = Scheduler(machine.n_cores, steal=steal)
         self.stats = KernelStats()
-        self.tracer = machine.tracer
 
         self.kernel_process = OsProcess(pid=0, name="kernel", is_kernel=True)
         self.processes: list[OsProcess] = [self.kernel_process]

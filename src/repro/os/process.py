@@ -80,10 +80,6 @@ class OsProcess:
         self.name = name
         self.is_kernel = is_kernel
         self.threads: list[OsThread] = []
-        #: service this process serves, if it is an RPC server process
-        self.service = None
-        #: opaque per-process annotations used by experiments
-        self.meta: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<OsProcess {self.pid} {self.name!r}>"

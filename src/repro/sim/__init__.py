@@ -14,7 +14,6 @@ from .engine import (
 from .profile import EngineProfile, ProfileSnapshot, attach_profile
 from .resources import Gate, PriorityStore, Resource, Store
 from .rng import RngRegistry
-from .trace import SpanTimer, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -35,11 +34,8 @@ __all__ = [
     "SEC",
     "SimulationError",
     "Simulator",
-    "SpanTimer",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "US",
     "attach_profile",
     "bytes_time_ns",

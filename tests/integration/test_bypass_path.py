@@ -17,7 +17,6 @@ def setup_echo(bed, n_workers=1, port=9000, handler_cost=500):
         service, "echo", lambda args: list(args), cost_instructions=handler_cost
     )
     process = bed.kernel.spawn_process("echo-server")
-    process.service = service
     for i in range(n_workers):
         queue = bed.nic.queues[i % len(bed.nic.queues)]
         bed.kernel.spawn_thread(

@@ -26,7 +26,6 @@ def setup_service(bed, name="echo", port=9000, handler_cost=500, user_loop=True,
         service, "echo", lambda args: list(args), cost_instructions=handler_cost
     )
     process = bed.kernel.spawn_process(f"{name}-server")
-    process.service = service
     bed.nic.register_service(service, process.pid)
     endpoint = bed.nic.create_endpoint(EndpointKind.USER, service=service)
     thread = None

@@ -18,7 +18,6 @@ def setup_echo(bed, n_workers=1, port=9000, handler_cost=500):
     )
     socket = bed.netstack.bind(port)
     process = bed.kernel.spawn_process("echo-server")
-    process.service = service
     for i in range(n_workers):
         bed.kernel.spawn_thread(
             process,

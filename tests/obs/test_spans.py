@@ -68,18 +68,6 @@ def test_record_synthesized_interval():
     assert rec.children_of(root) == [span]
 
 
-def test_mirror_into_tracer():
-    from repro.hw import ENZIAN, Machine
-
-    machine = Machine(ENZIAN, trace=True)
-    rec = SpanRecorder(machine.sim, tracer=machine.tracer)
-    root = rec.start_trace("rpc", "client")
-    rec.finish(root)
-    mirrored = [r for r in machine.tracer.records if r.category == "span"]
-    assert len(mirrored) == 1
-    assert mirrored[0].fields["trace_id"] == root.trace_id
-
-
 def test_integrity_flags_violations():
     rec = _recorder()
     root = rec.start_trace("rpc", "client")

@@ -1,8 +1,8 @@
-"""Unit tests for clock conversions, RNG streams, and the tracer."""
+"""Unit tests for clock conversions and RNG streams."""
 
 import pytest
 
-from repro.sim import GHZ, MS, SEC, US, Frequency, RngRegistry, Simulator, Tracer
+from repro.sim import GHZ, MS, SEC, US, Frequency, RngRegistry
 from repro.sim.clock import bytes_time_ns
 
 
@@ -63,58 +63,3 @@ def test_rng_fork_independent():
     # Fork is deterministic too.
     again = RngRegistry(seed=3).fork("trial-1")
     assert again.stream("s").random() == RngRegistry(seed=3).fork("trial-1").stream("s").random()
-
-
-def test_tracer_emit_and_query():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    tracer.emit("nic", "rx", size=64)
-    sim.run(until=10)
-    tracer.emit("nic", "tx", size=128)
-    tracer.emit("os", "sched")
-    assert len(list(tracer.query(category="nic"))) == 2
-    assert len(list(tracer.query(category="nic", label="rx"))) == 1
-    rx = next(tracer.query(label="rx"))
-    assert rx["size"] == 64 and rx.time_ns == 0
-
-
-def test_tracer_field_filter():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    tracer.emit("x", "y", core=1)
-    tracer.emit("x", "y", core=2)
-    assert len(list(tracer.query(core=2))) == 1
-
-
-def test_tracer_disabled_drops_records():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=False)
-    tracer.emit("a", "b")
-    assert tracer.records == []
-
-
-def test_tracer_span_duration():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    done = []
-
-    def proc():
-        span = tracer.span("stage", "demux", pkt=1)
-        yield sim.timeout(42)
-        done.append(span.close())
-
-    sim.process(proc())
-    sim.run()
-    assert done == [42]
-    record = next(tracer.query(label="demux"))
-    assert record["duration_ns"] == 42 and record["pkt"] == 1
-
-
-def test_tracer_subscribe():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    seen = []
-    tracer.subscribe(lambda r: seen.append(r.label))
-    tracer.emit("c", "one")
-    tracer.emit("c", "two")
-    assert seen == ["one", "two"]
